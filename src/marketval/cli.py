@@ -1,7 +1,7 @@
 """Command-line pipeline: ingest -> encode -> fit/select/diagnose, plus synth.
 
 Exit codes: 0 success; 2 empty or degenerate input (also synth with n too
-small); 3 schema or parse error; 4 no conforming model from backward
+small); 3 schema, parse or encoding error; 4 no conforming model from backward
 elimination.  Every command is a pure function of its inputs and flags, so
 repeated runs write byte-identical files.
 """
@@ -18,6 +18,7 @@ from .errors import (
     DegenerateModelError,
     DegenerateResponseError,
     EmptyDatasetError,
+    EncodingError,
     InferenceUnavailableError,
     InvalidInputError,
     MarketvalError,
@@ -195,7 +196,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (SchemaError, RowParseError) as exc:
+    except (SchemaError, RowParseError, EncodingError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (EmptyDatasetError, DegenerateResponseError, DegenerateModelError) as exc:

@@ -5,6 +5,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import numcore
 from .distributions import chi2_sf
@@ -19,8 +20,8 @@ VIF_UNCORRELATED = "uncorrelated"
 VIF_MODERATE = "moderate"
 VIF_HIGH = "high"
 
-# Aux R^2 this close to 1 is treated as exact collinearity.
-_COLLINEAR_R2 = 1.0 - 1e-12
+# A VIF this large (aux R^2 >= 1 - 1e-12) is treated as exact collinearity.
+_COLLINEAR_VIF = 1e12
 # Slack for the banding thresholds so exact boundary cases land on the
 # documented side (vif computed from R^2 = 0.8 must band as moderate).
 _BAND_SLACK = 1e-9
@@ -131,38 +132,76 @@ def _band(vif_value: float) -> str:
 def vif(data: EncodedDataset) -> VifReport:
     """Variance inflation factors for every non-bias column.
 
-    Each column is regressed on all the others (bias included when the
-    dataset has one); vif = 1/(1 - R^2_aux).  Exact collinearity yields an
-    infinite-flagged entry instead of an error.
+    VIF_j = 1 / (1 - R^2_j), where R^2_j is the R^2 of column j regressed
+    on all the others: centered when the dataset has a bias column,
+    uncentered otherwise.  Every VIF is read off one pivoted QR of the
+    design, X P = Q R, through the identity (Belsley, Kuh & Welsch,
+    *Regression Diagnostics*, 1980)
+
+        VIF_j = [(X'X)^{-1}]_jj * S_j,
+
+    with S_j = sum_i (x_ij - mean_j)^2 when there is a bias column and
+    S_j = sum_i x_ij^2 when there is none.  (X'X)^{-1} is
+    `numcore.unscaled_covariance` of the columns the rank cut retained.
+
+    An entry is flagged infinite, with r_squared_aux = 1.0, when the column
+
+    (a) is constant (S_j = 0);
+    (b) was dropped by the rank cut (`numcore.DEFAULT_RANK_TOL`);
+    (c) sits in a dependency the rank cut took as exact: for some dropped
+        column d, |(R11^{-1} R12)_jd| * ||e_j|| >= DEFAULT_RANK_TOL * |R[0, 0]|,
+        where ||e_j|| = 1/sqrt([(X'X)^{-1}]_jj) is the residual norm of
+        column j on the other retained columns.  Without column j, column d
+        would no longer fall inside the rank cut; or
+    (d) has VIF_j >= 1e12, which is R^2_j >= 1 - 1e-12.
+
+    Otherwise r_squared_aux = 1 - 1/VIF_j, with VIF_j clamped to >= 1.
+
+    Near-singular cases are decided by the R^2 cut (d).  A column dropped
+    by the rank cut has a residual shorter than DEFAULT_RANK_TOL * |R[0, 0]|
+    on the columns pivoted before it, so its VIF exceeds
+    1e20 * S_j / R[0, 0]^2: the R^2 cut has fired already, unless S_j is
+    below 1e-8 * R[0, 0]^2.  Approaching a dependency, the R^2 cut fires
+    when the residual reaches 1e-6 * sqrt(S_j), long before the rank cut.
+    The rank cut decides only for columns that small next to the largest
+    one, which `ols.fit_ols` drops as well, and through (c) for the
+    partners of a dropped column: those are infinite even when their R^2
+    would stop short of 1 - 1e-12.
     """
-    a = data.design.array()
-    has_bias = data.has_bias
     non_bias = [j for j, c in enumerate(data.columns) if c.kind != KIND_BIAS]
     if len(non_bias) < 2:
         raise InvalidInputError("vif needs at least 2 non-bias columns")
+    a = data.design.array()
+    factors = numcore.qr_pivoted(data.design)
+    rank = factors.rank
+    pivoted = list(factors.permutation[:rank])
+    # Diagonal of the inverse Gram matrix by original column index.
+    inv_gram = np.full(a.shape[1], math.inf)
+    if rank > 0:
+        cov = numcore.unscaled_covariance(factors).array()
+        inv_gram[list(factors.retained_columns)] = np.diag(cov)
+    infinite = np.zeros(a.shape[1], dtype=bool)
+    infinite[list(factors.dropped_columns)] = True  # (b)
+    if 0 < rank < a.shape[1]:
+        r = factors.r
+        # Row i: coefficients of retained column pivoted[i] in each dropped column.
+        coef = scipy.linalg.solve_triangular(r[:rank, :rank], r[:rank, rank:])
+        weight = np.abs(coef).max(axis=1) / np.sqrt(inv_gram[pivoted])
+        infinite[pivoted] |= weight >= numcore.DEFAULT_RANK_TOL * abs(r[0, 0])  # (c)
+
     entries: list[VifEntry] = []
     for j in non_bias:
         target = a[:, j]
-        if has_bias:
-            target_tss = float(np.sum((target - target.mean()) ** 2))
+        if data.has_bias:
+            spread = float(np.sum((target - target.mean()) ** 2))
         else:
-            target_tss = float(target @ target)
-        if target_tss <= 0.0:
-            # Constant column: exactly representable by the intercept.
-            entries.append(
-                VifEntry(data.columns[j].name, 1.0, math.inf, VIF_HIGH, True)
-            )
-            continue
-        others = np.delete(a, j, axis=1)
-        # Centered R^2 when the bias column is among the regressors.
-        r2, _, _ = _aux_regression(others, has_bias, target)
-        if r2 >= _COLLINEAR_R2:
-            entries.append(
-                VifEntry(data.columns[j].name, r2, math.inf, VIF_HIGH, True)
-            )
+            spread = float(target @ target)
+        v = max(1.0, float(inv_gram[j]) * spread)
+        name = data.columns[j].name
+        if spread <= 0.0 or infinite[j] or v >= _COLLINEAR_VIF:  # (a), (b), (c), (d)
+            entries.append(VifEntry(name, 1.0, math.inf, VIF_HIGH, True))
         else:
-            v = 1.0 / (1.0 - r2)
-            entries.append(VifEntry(data.columns[j].name, r2, v, _band(v), False))
+            entries.append(VifEntry(name, 1.0 - 1.0 / v, v, _band(v), False))
     return VifReport(entries=tuple(entries))
 
 

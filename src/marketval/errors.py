@@ -34,6 +34,17 @@ class RowParseError(MarketvalError, ValueError):
         self.column = column
 
 
+class EncodingError(MarketvalError, ValueError):
+    """Input bytes are not valid UTF-8.
+
+    Carries the 0-based byte offset of the first invalid byte.
+    """
+
+    def __init__(self, offset: int, message: str) -> None:
+        super().__init__(f"byte offset {offset}: {message}")
+        self.offset = offset
+
+
 class DegenerateModelError(MarketvalError):
     """A design matrix has no usable columns (numerical rank zero)."""
 

@@ -5,7 +5,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .errors import InvalidInputError, RowParseError, SchemaError
+from .errors import EncodingError, InvalidInputError, RowParseError, SchemaError
 from .features import PlayerRecord
 
 CSV_HEADER = (
@@ -78,7 +78,8 @@ class FilterResult:
 def _parse_int(cell: str, row: int, column: str) -> int:
     text = cell.strip()
     sign_stripped = text[1:] if text[:1] in "+-" else text
-    if not sign_stripped.isdigit():
+    # str.isdigit alone also accepts digits such as "²" that int() rejects.
+    if not (sign_stripped.isascii() and sign_stripped.isdigit()):
         raise RowParseError(row, column, f"expected an integer, got {cell!r}")
     return int(text)
 
@@ -107,9 +108,16 @@ def parse_players_csv(data: bytes) -> list[PlayerRecord]:
     The header must match `CSV_HEADER` exactly.  Numeric cells are parsed
     strictly; category cells are whitespace-trimmed with case preserved.
     Row numbers in errors are 1-based file lines (header = row 1).
-    An empty file yields an empty list.
+    An empty file yields an empty list.  Bytes that are not UTF-8 raise
+    `EncodingError` with the offset of the first bad byte.
     """
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = data.count(b"\n", 0, exc.start) + 1
+        raise EncodingError(
+            exc.start, f"invalid UTF-8 byte 0x{data[exc.start]:02x} in row {row}"
+        ) from None
     if text.strip() == "":
         return []
     reader = csv.reader(io.StringIO(text))

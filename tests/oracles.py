@@ -13,6 +13,10 @@ import math
 import numpy as np
 from scipy import integrate
 
+from marketval import numcore
+from marketval.diagnostics import VIF_HIGH, VifEntry, VifReport, _band
+from marketval.features import KIND_BIAS, EncodedDataset
+
 
 def gram_schmidt_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Modified Gram-Schmidt QR of a full-column-rank matrix."""
@@ -66,6 +70,39 @@ def normal_equations_summary(x: np.ndarray, y: np.ndarray, has_bias: bool) -> di
         "bic": bic,
         "cov_unscaled": xtx_inv,
     }
+
+
+def vif_by_aux_regressions(data: EncodedDataset) -> VifReport:
+    """VIF of each non-bias column by regressing it on all the others.
+
+    One pivoted-QR least-squares fit per column: R^2 is centered when the
+    dataset has a bias column and uncentered otherwise, and R^2 >= 1 - 1e-12
+    or a constant column gives an infinite entry.  The vif is taken as
+    tss/rss rather than 1/(1 - R^2): the same number, without the rounding
+    of R^2 near 1, which alone is ~1e-16 * vif relative.
+    """
+    a = data.design.array()
+    has_bias = data.has_bias
+    entries = []
+    for j, meta in enumerate(data.columns):
+        if meta.kind == KIND_BIAS:
+            continue
+        target = a[:, j]
+        if has_bias:
+            tss = float(np.sum((target - target.mean()) ** 2))
+        else:
+            tss = float(target @ target)
+        if tss <= 0.0:
+            entries.append(VifEntry(meta.name, 1.0, math.inf, VIF_HIGH, True))
+            continue
+        rss = numcore.least_squares_solve(np.delete(a, j, axis=1), target).rss
+        r2 = min(1.0, max(0.0, 1.0 - rss / tss))
+        if r2 >= 1.0 - 1e-12:
+            entries.append(VifEntry(meta.name, r2, math.inf, VIF_HIGH, True))
+        else:
+            v = max(1.0, tss / rss)
+            entries.append(VifEntry(meta.name, r2, v, _band(v), False))
+    return VifReport(entries=tuple(entries))
 
 
 def gaussian_density_log_product(resid: np.ndarray) -> float:

@@ -112,6 +112,25 @@ class TestFitCommand:
         assert main(["fit", "--input", str(bad), "--out", str(out)]) == EXIT_SCHEMA
         assert not out.exists()
 
+    def test_unicode_digit_exit_code(self, tmp_path, synth_csv, capsys):
+        lines = synth_csv.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[3] = "\u00b2"  # age
+        bad = tmp_path / "bad.csv"
+        bad.write_text(lines[0] + ",".join(cells), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["fit", "--input", str(bad), "--out", str(out)]) == EXIT_SCHEMA
+        assert "row 2, column 'age'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_input_exit_code(self, tmp_path, synth_csv, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe" + synth_csv.read_bytes())
+        out = tmp_path / "o"
+        assert main(["fit", "--input", str(bad), "--out", str(out)]) == EXIT_SCHEMA
+        assert "byte offset 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_file_exit_code(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_bytes(b"")

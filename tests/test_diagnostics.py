@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from marketval import numcore
 from marketval.diagnostics import (
     BP_KOENKER,
     BP_ORIGINAL,
@@ -21,6 +24,7 @@ from marketval.distributions import chi2_sf
 from marketval.errors import InvalidInputError
 from marketval.ols import FitResult, fit_ols
 from conftest import dataset_from_arrays
+from oracles import vif_by_aux_regressions
 
 
 def fit_with_residuals(data, residuals):
@@ -253,6 +257,138 @@ class TestVif:
         )
         with pytest.raises(InvalidInputError):
             vif(data)
+
+
+@st.composite
+def vif_designs(draw):
+    """Random designs, with or without a bias column, that may hold
+    duplicated columns, exact collinear groups, near twins and constant or
+    all-zero columns, in random order.
+
+    A near twin differs from its source by 1e-2 to 1e-5 of the source's
+    root mean square.  Closer twins make every VIF of the design
+    ill-conditioned: with twins 1e-8 apart relative to the column norm,
+    both routes missed a 60-digit reference by up to 5e-8 relative on VIFs
+    below 300, so a 1e-8 bound would test rounding, not the method.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bias = draw(st.booleans())
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(k + 4, 40))
+    cols = [rng.normal(size=n) * 10.0 ** rng.uniform(-2.0, 2.0) + rng.normal() for _ in range(k)]
+    extras = draw(st.lists(
+        st.sampled_from(["duplicate", "group", "twin", "constant", "zero"]), max_size=3
+    ))
+    for extra in extras:
+        if extra == "duplicate":
+            cols.append(cols[rng.integers(len(cols))] * rng.choice([1.0, -2.0, 0.5]))
+        elif extra == "group":
+            members = rng.choice(k, size=min(k, rng.integers(2, 4)), replace=False)
+            cols.append(sum(rng.choice([-3.0, -1.0, 2.0, 5.0]) * cols[i] for i in members))
+        elif extra == "twin":
+            source = cols[rng.integers(k)]
+            rms = np.linalg.norm(source) / math.sqrt(n)
+            cols.append(source + 10.0 ** -rng.integers(2, 6) * rms * rng.normal(size=n))
+        elif extra == "constant":
+            cols.append(np.full(n, float(rng.integers(-5, 6))))
+        else:
+            cols.append(np.zeros(n))
+    design = [cols[i] for i in rng.permutation(len(cols))]
+    if bias:
+        design.insert(0, np.ones(n))
+    return dataset_from_arrays(np.column_stack(design), rng.normal(size=n), bias=bias)
+
+
+class TestVifAgainstAuxRegressions:
+    @given(vif_designs())
+    def test_matches_per_column_regressions(self, data):
+        fast = vif(data).entries
+        slow = vif_by_aux_regressions(data).entries
+        assert [e.column for e in fast] == [e.column for e in slow]
+        for f, s in zip(fast, slow):
+            assert f.infinite == s.infinite, (f, s)
+            assert f.band == s.band, (f, s)
+            if s.infinite:
+                assert math.isinf(f.vif) and f.r_squared_aux == 1.0
+            else:
+                rel = 1e-8 if s.vif <= 1e3 else 1e-6
+                assert f.vif == pytest.approx(s.vif, rel=rel), (f, s)
+                assert f.r_squared_aux == pytest.approx(1.0 - 1.0 / f.vif, abs=1e-15)
+
+    @pytest.mark.parametrize("p", [3, 10, 40])
+    def test_factors_the_design_once(self, monkeypatch, p):
+        rng = np.random.default_rng(311 + p)
+        design = np.column_stack([np.ones(60), rng.normal(size=(60, p - 1))])
+        calls = []
+        original = numcore.qr_pivoted
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(numcore, "qr_pivoted", counting)
+        report = vif(dataset_from_arrays(design, rng.normal(size=60)))
+        assert len(report.entries) == p - 1
+        assert len(calls) == 1
+
+
+# Orthogonal, centered +-1 columns of length 8 (Hadamard rows).
+_H1 = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+_H2 = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
+_H3 = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
+
+
+class TestVifCuts:
+    @staticmethod
+    def r_squared_case(target_vif):
+        # x2 = h1 + d h2 against {1, h1}: R^2 = 1/(1 + d^2), vif = 1 + 1/d^2.
+        # Floats resolve R^2 near 1 - 1e-12 to ~1e-4 in vif, hence the 1e-3 steps.
+        d = 1.0 / math.sqrt(target_vif - 1.0)
+        design = np.column_stack([np.ones(8), _H1, _H1 + d * _H2])
+        return dataset_from_arrays(design, _H3)
+
+    def test_just_below_r_squared_cut_is_finite(self):
+        data = self.r_squared_case(1e12 * (1.0 - 1e-3))
+        for e, o in zip(vif(data).entries, vif_by_aux_regressions(data).entries):
+            assert not e.infinite and not o.infinite
+            assert e.vif == pytest.approx(1e12 * (1.0 - 1e-3), rel=1e-7)
+            assert e.vif == pytest.approx(o.vif, rel=1e-6)
+            assert e.band == VIF_HIGH
+
+    def test_just_above_r_squared_cut_is_infinite(self):
+        data = self.r_squared_case(1e12 * (1.0 + 1e-3))
+        for e, o in zip(vif(data).entries, vif_by_aux_regressions(data).entries):
+            assert e.infinite and o.infinite
+            assert e.r_squared_aux == 1.0
+
+    @staticmethod
+    def rank_case(d):
+        # Pivot order is 1e6 h1, h2 + d h3, 1, h2; the last pivot is
+        # d/sqrt(1 + d^2) * sqrt(8) against a rank cut of 1e-10 * 1e6 * sqrt(8).
+        design = np.column_stack([np.ones(8), 1e6 * _H1, _H2, _H2 + d * _H3])
+        return dataset_from_arrays(design, _H1 + _H2)
+
+    def test_just_below_rank_cut_is_infinite(self):
+        # The rank cut decides: the per-column regressions, which apply no
+        # cut of their own here, report a finite vif of about 1e8 for the
+        # pair, while the fit drops one of them like this report.
+        data = self.rank_case(0.98e-4)
+        by_name = {e.column: e for e in vif(data).entries}
+        assert by_name["x2"].infinite and by_name["x3"].infinite
+        assert by_name["x1"].vif == pytest.approx(1.0, abs=1e-9)
+        assert fit_ols(data).dropped_columns in (("x2",), ("x3",))
+        for e in vif_by_aux_regressions(data).entries:
+            assert not e.infinite
+
+    def test_just_above_rank_cut_is_finite(self):
+        d = 1.02e-4
+        data = self.rank_case(d)
+        for e, o in zip(vif(data).entries, vif_by_aux_regressions(data).entries):
+            assert not e.infinite
+            assert e.vif == pytest.approx(o.vif, rel=1e-6)
+        by_name = {e.column: e for e in vif(data).entries}
+        assert by_name["x3"].vif == pytest.approx(1.0 + 1.0 / d**2, rel=1e-6)
+        assert fit_ols(data).dropped_columns == ()
 
 
 class TestMape:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from marketval.errors import InvalidInputError, RowParseError, SchemaError
+from marketval.errors import EncodingError, InvalidInputError, RowParseError, SchemaError
 from marketval.ingest import (
     CSV_HEADER,
     RULE_AGE,
@@ -79,6 +79,30 @@ class TestParse:
         assert exc_info.value.row == 2
         assert exc_info.value.column == "age"
         assert "row 2" in str(exc_info.value)
+
+    @pytest.mark.parametrize("age", ["\u00b2", "\u0663\u0660", "2\uff17", "+\u00b9"])
+    def test_non_ascii_digits_rejected(self, age):
+        with pytest.raises(RowParseError) as exc_info:
+            parse_players_csv(csv_bytes(ROW.replace(",27,", f",{age},")))
+        assert exc_info.value.column == "age"
+
+    def test_signed_ascii_integers_accepted(self):
+        (record,) = parse_players_csv(csv_bytes(ROW.replace(",27,", ", +27 ,")))
+        assert record.age == 27
+
+    def test_invalid_utf8_reports_byte_offset(self):
+        with pytest.raises(EncodingError) as exc_info:
+            parse_players_csv(b"\xff\xfe" + csv_bytes(ROW))
+        assert exc_info.value.offset == 0
+        assert "byte offset 0" in str(exc_info.value)
+
+    def test_invalid_utf8_mid_file_offset_and_row(self):
+        good = csv_bytes(ROW)
+        data = good + b"K\xe9ne" + csv_bytes(ROW)[len(HEADER_LINE) + 5:]
+        with pytest.raises(EncodingError) as exc_info:
+            parse_players_csv(data)
+        assert exc_info.value.offset == len(good) + 1
+        assert "row 3" in str(exc_info.value)
 
     def test_error_row_number_counts_file_lines(self):
         bad = ROW.replace(",27,", ",x,")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from marketval import distributions
 from marketval.distributions import f_sf, student_t_quantile, t_two_sided_p
 from marketval.errors import (
     DegenerateModelError,
@@ -322,6 +323,28 @@ class TestCoefficientTable:
         rows99 = coefficient_table(fit, level=0.99)
         assert rows99[0].ci_low < rows95[0].ci_low
         assert rows99[0].ci_high > rows95[0].ci_high
+
+    def test_stored_and_recomputed_intervals_identical(self):
+        rng = np.random.default_rng(209)
+        base = rng.normal(size=(30, 4))
+        base[:, 0] = 1.0
+        data = dataset_from_arrays(np.column_stack([base, base[:, 2]]), rng.normal(size=30))
+        stored = coefficient_table(fit_ols(data, confidence_level=0.95))
+        recomputed = coefficient_table(fit_ols(data, confidence_level=0.9), level=0.95)
+        assert [(r.ci_low, r.ci_high) for r in stored] == [
+            (r.ci_low, r.ci_high) for r in recomputed
+        ]
+
+    def test_default_level_reads_stored_intervals(self, monkeypatch):
+        fit = self.make_fit([1.0, 2.0], [0.5, 0.25], 20)
+
+        def no_quantile(*args):
+            raise AssertionError("stored intervals should be reused")
+
+        monkeypatch.setattr(distributions, "student_t_quantile", no_quantile)
+        for rows in (coefficient_table(fit), coefficient_table(fit, level=0.95)):
+            assert [r.ci_low for r in rows] == list(fit.ci_low)
+            assert [r.ci_high for r in rows] == list(fit.ci_high)
 
     def test_inference_unavailable_raises(self):
         x = np.array([[1.0, 0.0], [1.0, 1.0]])
