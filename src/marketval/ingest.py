@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import EncodingError, InvalidInputError, RowParseError, SchemaError
 from .features import PlayerRecord
@@ -75,12 +76,26 @@ class FilterResult:
     log: ExclusionLog
 
 
+# Integer cells have at most this many significant digits, so every value
+# fits a signed 64-bit integer and converts to float: a cell of ~309 digits
+# overflows the float conversion in encoding, one of 4300 overflows int().
+MAX_INT_DIGITS = 18
+
+
 def _parse_int(cell: str, row: int, column: str) -> int:
     text = cell.strip()
     sign_stripped = text[1:] if text[:1] in "+-" else text
     # str.isdigit alone also accepts digits such as "²" that int() rejects.
     if not (sign_stripped.isascii() and sign_stripped.isdigit()):
         raise RowParseError(row, column, f"expected an integer, got {cell!r}")
+    if len(sign_stripped) > MAX_INT_DIGITS:
+        # Leading zeros do not count, and int() must not see thousands of them.
+        digits = sign_stripped.lstrip("0") or "0"
+        if len(digits) > MAX_INT_DIGITS:
+            raise RowParseError(
+                row, column, f"integer has {len(digits)} digits; at most {MAX_INT_DIGITS} allowed"
+            )
+        return -int(digits) if text[0] == "-" else int(digits)
     return int(text)
 
 
@@ -102,14 +117,25 @@ def _parse_flag(cell: str, row: int, column: str) -> bool:
     raise RowParseError(row, column, f"expected 0 or 1, got {cell!r}")
 
 
+def _csv_rows(text: str) -> Iterator[list[str]]:
+    """The rows of a CSV text; a row the reader rejects raises `RowParseError`."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise RowParseError(reader.line_num, "row", str(exc)) from None
+
+
 def parse_players_csv(data: bytes) -> list[PlayerRecord]:
     """Parse a UTF-8 player CSV into records.
 
     The header must match `CSV_HEADER` exactly.  Numeric cells are parsed
     strictly; category cells are whitespace-trimmed with case preserved.
     Row numbers in errors are 1-based file lines (header = row 1).
-    An empty file yields an empty list.  Bytes that are not UTF-8 raise
-    `EncodingError` with the offset of the first bad byte.
+    An empty file yields an empty list.  One leading UTF-8 byte-order mark
+    is skipped.  Bytes that are not UTF-8 raise `EncodingError` with the
+    offset of the first bad byte; a row the CSV reader rejects (such as a
+    cell over its 131 072-character field limit) raises `RowParseError`.
     """
     try:
         text = data.decode("utf-8")
@@ -118,10 +144,11 @@ def parse_players_csv(data: bytes) -> list[PlayerRecord]:
         raise EncodingError(
             exc.start, f"invalid UTF-8 byte 0x{data[exc.start]:02x} in row {row}"
         ) from None
+    text = text.removeprefix("\ufeff")
     if text.strip() == "":
         return []
-    reader = csv.reader(io.StringIO(text))
-    header = [h.strip() for h in next(reader)]
+    rows = _csv_rows(text)
+    header = [h.strip() for h in next(rows)]
     if header != list(CSV_HEADER):
         missing = [c for c in CSV_HEADER if c not in header]
         extra = [c for c in header if c not in CSV_HEADER]
@@ -132,7 +159,7 @@ def parse_players_csv(data: bytes) -> list[PlayerRecord]:
         raise SchemaError("header columns are out of order")
 
     records: list[PlayerRecord] = []
-    for line, row in enumerate(reader, start=2):
+    for line, row in enumerate(rows, start=2):
         if not row:
             continue  # tolerate blank lines
         if len(row) != len(CSV_HEADER):

@@ -77,6 +77,18 @@ class FitResult:
         return tuple(n for n in self.column_names if n not in dropped)
 
 
+def total_sum_of_squares(y: np.ndarray, has_bias: bool) -> float:
+    """Sum of squares R^2 is measured against: centered with a bias column, raw without."""
+    if has_bias:
+        return float(np.sum((y - y.mean()) ** 2))
+    return float(y @ y)
+
+
+def r_squared(rss: float, tss: float) -> float:
+    """1 - rss/tss, clamped to [0, 1]."""
+    return min(1.0, max(0.0, 1.0 - rss / tss))
+
+
 def adjusted_r_squared(r_squared: float, n_obs: int, df_resid: int, has_bias: bool) -> float:
     """1 - (1 - R^2) * (n - c) / df_resid, with c = 1 when a bias column is present."""
     if df_resid < 1:
@@ -152,6 +164,18 @@ def fit_ols(data: EncodedDataset, confidence_level: float = 0.95) -> FitResult:
         If the total sum of squares is zero (constant response against a
         bias column, or an all-zero response without one).
     """
+    return fit_from_factors(data, numcore.qr_pivoted(data.design), confidence_level)
+
+
+def fit_from_factors(
+    data: EncodedDataset, factors: numcore.QrFactors, confidence_level: float = 0.95
+) -> FitResult:
+    """`fit_ols` given the pivoted QR factorization of `data.design`.
+
+    Lets a caller that needs the factors for more than the fit (backward
+    elimination compresses the design through them) factor only once; the
+    result is identical to `fit_ols(data, confidence_level)`.
+    """
     if not 0.0 < confidence_level < 1.0:
         raise InvalidInputError("confidence_level must be in (0, 1)")
     x = data.design
@@ -159,7 +183,6 @@ def fit_ols(data: EncodedDataset, confidence_level: float = 0.95) -> FitResult:
     n = x.rows
     p = x.cols
 
-    factors = numcore.qr_pivoted(x)
     if factors.rank == 0:
         raise DegenerateModelError("design matrix has numerical rank zero")
     solution = numcore.solve_from_factors(factors, x, y)
@@ -170,17 +193,14 @@ def fit_ols(data: EncodedDataset, confidence_level: float = 0.95) -> FitResult:
     rank = solution.rank
 
     has_bias = data.has_bias
-    if has_bias:
-        tss = float(np.sum((y - y.mean()) ** 2))
-    else:
-        tss = float(y @ y)
+    tss = total_sum_of_squares(y, has_bias)
     if tss <= 0.0:
         raise DegenerateResponseError("response has zero total sum of squares")
 
     k_params = rank
     df_resid = n - rank
     df_model = rank - (1 if has_bias else 0)
-    r2 = min(1.0, max(0.0, 1.0 - rss / tss))
+    r2 = r_squared(rss, tss)
     perfect = rss == 0.0 or rss <= tss * _PERFECT_FIT_RATIO
 
     inference_available = df_resid >= 1

@@ -16,6 +16,8 @@ from scipy import integrate
 from marketval import numcore
 from marketval.diagnostics import VIF_HIGH, VifEntry, VifReport, _band
 from marketval.features import KIND_BIAS, EncodedDataset
+from marketval.ols import fit_ols
+from marketval.selection import EliminationStep, EliminationTrace, ModelSummary
 
 
 def gram_schmidt_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,6 +105,50 @@ def vif_by_aux_regressions(data: EncodedDataset) -> VifReport:
             v = max(1.0, tss / rss)
             entries.append(VifEntry(meta.name, r2, v, _band(v), False))
     return VifReport(entries=tuple(entries))
+
+
+def backward_eliminate_by_refits(
+    data: EncodedDataset, alpha: float, confidence_level: float = 0.95
+) -> EliminationTrace:
+    """Backward elimination that refits the full n-row design every round.
+
+    Each round selects the kept columns out of the dataset, fits them with
+    `fit_ols` and removes the column with the largest retained p-value
+    (ties -> lowest index) while that p-value exceeds alpha; the last column
+    is never removed, and a trace stopped there with p > alpha is
+    non-conforming.
+    """
+    current = data
+    fit = fit_ols(current, confidence_level)
+    steps = []
+    conforming = True
+    while True:
+        dropped = set(fit.dropped_columns)
+        candidates = [
+            (float(fit.p_values[j]), j, name)
+            for j, name in enumerate(fit.column_names)
+            if name not in dropped and not math.isnan(fit.p_values[j])
+        ]
+        if not candidates:
+            break
+        worst_p = max(p for p, _, _ in candidates)
+        if worst_p <= alpha:
+            break
+        if current.design.cols == 1:
+            conforming = False
+            break
+        worst_j = min(j for p, j, _ in candidates if p == worst_p)
+        name = fit.column_names[worst_j]
+        current = current.select_columns(
+            [i for i in range(current.design.cols) if i != worst_j]
+        )
+        fit = fit_ols(current, confidence_level)
+        steps.append(
+            EliminationStep(
+                name, worst_p, ModelSummary(fit.k_params, fit.r_squared, fit.adj_r_squared)
+            )
+        )
+    return EliminationTrace(alpha, tuple(steps), fit, conforming)
 
 
 def gaussian_density_log_product(resid: np.ndarray) -> float:

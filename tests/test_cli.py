@@ -131,6 +131,25 @@ class TestFitCommand:
         assert "byte offset 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [
+            (14, "9" * 5000, "row 2, column 'minutes_played'"),  # past int()'s digit limit
+            (9, "9" * 400, "row 2, column 'goals'"),  # past float's range
+            (0, "x" * 140_000, "row 2, column 'row': field larger than field limit"),
+        ],
+    )
+    def test_oversized_cell_exit_code(self, tmp_path, synth_csv, capsys, column, cell, message):
+        lines = synth_csv.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[column] = cell
+        bad = tmp_path / "bad.csv"
+        bad.write_text(lines[0] + ",".join(cells) + "".join(lines[2:]), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["fit", "--input", str(bad), "--out", str(out)]) == EXIT_SCHEMA
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_file_exit_code(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_bytes(b"")

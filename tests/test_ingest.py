@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from marketval.errors import EncodingError, InvalidInputError, RowParseError, SchemaError
 from marketval.ingest import (
     CSV_HEADER,
+    MAX_INT_DIGITS,
     RULE_AGE,
     RULE_MINUTES,
     RULE_TRANSFER,
@@ -89,6 +90,37 @@ class TestParse:
     def test_signed_ascii_integers_accepted(self):
         (record,) = parse_players_csv(csv_bytes(ROW.replace(",27,", ", +27 ,")))
         assert record.age == 27
+
+    def test_integer_digit_cap(self):
+        # Leading zeros do not count; one more significant digit is rejected.
+        widest = "0" * 30 + "9" * MAX_INT_DIGITS
+        (record,) = parse_players_csv(csv_bytes(ROW.replace(",2700,", f",{widest},")))
+        assert record.minutes_played == 10**MAX_INT_DIGITS - 1
+        (record,) = parse_players_csv(csv_bytes(ROW.replace(",0,0,2700,", ",-0,0,2700,")))
+        assert record.second_yellow_cards == 0
+        for digits in (MAX_INT_DIGITS + 1, 400, 5000):
+            with pytest.raises(RowParseError) as exc_info:
+                parse_players_csv(csv_bytes(ROW.replace(",2700,", f",{'9' * digits},")))
+            assert exc_info.value.column == "minutes_played"
+            assert f"{digits} digits" in str(exc_info.value)
+
+    def test_oversized_field_names_row(self):
+        row = ROW.replace("Kane", "K" * 200_000)
+        with pytest.raises(RowParseError) as exc_info:
+            parse_players_csv(csv_bytes(ROW, row))
+        assert exc_info.value.row == 3
+        assert "field limit" in str(exc_info.value)
+        with pytest.raises(RowParseError) as exc_info:
+            parse_players_csv(csv_bytes(ROW, header="n" * 200_000))
+        assert exc_info.value.row == 1
+
+    def test_leading_bom_skipped(self):
+        plain = csv_bytes(ROW, ROW)
+        assert parse_players_csv(b"\xef\xbb\xbf" + plain) == parse_players_csv(plain)
+        # Only one: a second mark is part of the first header cell.
+        with pytest.raises(SchemaError, match="missing column"):
+            parse_players_csv(b"\xef\xbb\xbf" * 2 + plain)
+        assert parse_players_csv(b"\xef\xbb\xbf") == []
 
     def test_invalid_utf8_reports_byte_offset(self):
         with pytest.raises(EncodingError) as exc_info:

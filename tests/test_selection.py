@@ -5,11 +5,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from marketval.errors import InferenceUnavailableError, InvalidInputError
+from marketval import numcore
+from marketval.errors import DegenerateModelError, InferenceUnavailableError, InvalidInputError
+from marketval.features import EncodedDataset, encode_dataset
+from marketval.ingest import apply_filters, parse_players_csv
 from marketval.ols import fit_ols
-from marketval.selection import backward_eliminate
+from marketval.selection import (
+    MAX_COMPRESSED_CONDITION,
+    _Compressed,
+    _compressed_state,
+    backward_eliminate,
+)
+from marketval.synth import generate_players, records_to_csv
 from conftest import dataset_from_arrays
+from oracles import backward_eliminate_by_refits
 
 
 def replay_trace(data, trace):
@@ -235,3 +247,168 @@ class TestBackwardEliminate:
         assert step.model_after.adj_r_squared == pytest.approx(
             trace.final_fit.adj_r_squared, abs=1e-12
         )
+
+
+def assert_same_as_refits(data, alpha):
+    """`backward_eliminate` against the refit-every-round oracle."""
+    try:
+        oracle = backward_eliminate_by_refits(data, alpha)
+    except DegenerateModelError:
+        # Elimination left only an all-zero column: both routes must refuse it.
+        with pytest.raises(DegenerateModelError):
+            backward_eliminate(data, alpha)
+        return
+    trace = backward_eliminate(data, alpha)
+    assert [s.removed_column for s in trace.steps] == [s.removed_column for s in oracle.steps]
+    assert [s.model_after.k_params for s in trace.steps] == [
+        s.model_after.k_params for s in oracle.steps
+    ]
+    assert trace.conforming == oracle.conforming
+    for step, ref in zip(trace.steps, oracle.steps):
+        assert step.removed_p_value == pytest.approx(ref.removed_p_value, rel=1e-12, abs=0)
+        assert step.model_after.r_squared == pytest.approx(ref.model_after.r_squared, rel=0, abs=1e-12)
+    assert trace.final_fit.column_names == oracle.final_fit.column_names
+    assert np.array_equal(trace.final_fit.coefficients, oracle.final_fit.coefficients)
+
+
+@st.composite
+def elimination_problems(draw):
+    """Small designs with ties, exact and near dependencies, constants, with or without bias."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(12, 80))
+    bias = draw(st.booleans())
+    cols = [np.ones(n)] if bias else []
+    cols += [rng.normal(size=n) for _ in range(draw(st.integers(1, 6)))]
+    dummies = [(rng.random(n) < 0.3).astype(float) for _ in range(draw(st.integers(0, 3)))]
+    cols += dummies
+    if draw(st.booleans()):  # exact twin
+        cols.append(cols[-1].copy())
+    if dummies and draw(st.booleans()):  # identical 0/1 column
+        cols.append(dummies[0].copy())
+    if len(cols) >= 3 and draw(st.booleans()):  # collinear group
+        cols.append(cols[-1] - 2.0 * cols[-2] + 0.5 * cols[-3])
+    if draw(st.booleans()):
+        cols.append(np.full(n, draw(st.sampled_from([0.0, 1.0, 3.5]))))
+    for _ in range(draw(st.integers(0, 2))):  # near twin at 1e-2 .. 1e-7 of the RMS
+        base = cols[draw(st.integers(0, len(cols) - 1))]
+        rms = math.sqrt(float(base @ base) / n) or 1.0
+        scale = 10.0 ** -draw(st.integers(2, 7))
+        cols.append(base + scale * rms * rng.normal(size=n))
+    x = np.column_stack(cols)
+    beta = rng.normal(size=x.shape[1]) * (rng.random(x.shape[1]) < 0.4)
+    y = x @ beta + rng.normal(size=n) * draw(st.sampled_from([0.3, 1.0, 3.0]))
+    alpha = draw(st.sampled_from([0.01, 0.05, 0.1, 0.2]))
+    return dataset_from_arrays(x, y, bias=bias), alpha
+
+
+def synth_cli_dataset(seed: int, n: int = 105) -> EncodedDataset:
+    """The design `marketval select` builds from `marketval synth --seed S --n N`."""
+    records, _ = generate_players(seed, n)
+    parsed = parse_players_csv(records_to_csv(records).encode("utf-8"))
+    return encode_dataset(list(apply_filters(parsed).accepted))
+
+
+class TestCompressedElimination:
+    @settings(max_examples=200)
+    @given(elimination_problems())
+    def test_matches_refit_every_round(self, problem):
+        data, alpha = problem
+        if fit_ols(data).inference_available:
+            assert_same_as_refits(data, alpha)
+
+    # Seeds whose synth designs hold exact twins and collinear groups on
+    # which an uncertified compressed step picks another column.
+    @pytest.mark.parametrize("seed", [9, 38, 46, 148])
+    @pytest.mark.parametrize("alpha", [0.1, 0.05])
+    def test_matches_refit_on_synth_cli_designs(self, seed, alpha):
+        assert_same_as_refits(synth_cli_dataset(seed), alpha)
+
+    @pytest.mark.parametrize("n_noise, steps", [(0, 0), (6, 6)])
+    def test_tall_design_factored_once_before_the_final_fit(self, monkeypatch, n_noise, steps):
+        # Well-conditioned noise columns: every compressed step certifies.
+        rng = np.random.default_rng(406)
+        n = 400
+        x = np.column_stack([np.ones(n), rng.normal(size=(n, 3 + n_noise))])
+        y = 5.0 + x[:, 1:4] @ np.array([3.0, -2.0, 4.0]) + rng.normal(size=n)
+        data = dataset_from_arrays(x, y)
+        rows_factored: list[int] = []
+        selections: list[int] = []
+        qr, select = numcore.qr_pivoted, EncodedDataset.select_columns
+
+        def counting_qr(m, *args, **kwargs):
+            rows_factored.append(numcore.as_matrix(m).rows)
+            return qr(m, *args, **kwargs)
+
+        def counting_select(self, keep):
+            selections.append(len(keep))
+            return select(self, keep)
+
+        monkeypatch.setattr(numcore, "qr_pivoted", counting_qr)
+        monkeypatch.setattr(EncodedDataset, "select_columns", counting_select)
+        trace = backward_eliminate(data, 0.001)
+        assert len(trace.steps) == steps
+        assert rows_factored.count(n) == (1 if steps == 0 else 2)
+        assert len(rows_factored) - rows_factored.count(n) == steps
+        assert len(selections) == (0 if steps == 0 else 1)
+
+
+def compressed_state(data, keep, alpha):
+    factors = numcore.qr_pivoted(data.design)
+    return _compressed_state(data, keep, _Compressed.from_factors(factors, data.response), alpha)
+
+
+class TestCompressedStepCertification:
+    """A compressed step decides only when rounding cannot change the decision."""
+
+    def design(self, extra=None):
+        rng = np.random.default_rng(407)
+        x = np.column_stack([np.ones(60), rng.normal(size=(60, 4))])
+        if extra is not None:
+            x = np.column_stack([x, extra(x, rng)])
+        y = 1.0 + 2.0 * x[:, 1] + 0.2 * x[:, 2] + rng.normal(size=60)
+        return dataset_from_arrays(x, y)
+
+    def test_clear_step_matches_refit(self):
+        data = self.design()
+        keep = [0, 1, 2, 4]
+        (pos, name, p), summary = compressed_state(data, keep, 0.05)
+        fit = fit_ols(data.select_columns(keep))
+        assert name == fit.column_names[pos] == "x4"
+        assert p == pytest.approx(float(np.nanmax(fit.p_values)), rel=1e-12)
+        assert summary.k_params == fit.k_params
+        assert summary.r_squared == pytest.approx(fit.r_squared, abs=1e-12)
+        assert summary.adj_r_squared == pytest.approx(fit.adj_r_squared, abs=1e-12)
+
+    def test_worst_p_at_alpha_left_to_refit(self):
+        data = self.design()
+        keep = [0, 1, 2, 4]
+        (_, _, p), _ = compressed_state(data, keep, 0.05)
+        for alpha in (p, p * (1 + 1e-10), p * (1 - 1e-10)):
+            assert compressed_state(data, keep, alpha) is None
+        assert compressed_state(data, keep, p * (1 + 1e-8)) is not None
+
+    def test_tied_p_values_left_to_refit(self):
+        # Rows come in pairs with x1 and x2 swapped and the same response,
+        # so the two columns' p-values tie exactly.
+        rng = np.random.default_rng(408)
+        a, b = rng.normal(size=(2, 30))
+        x = np.column_stack([np.ones(60), np.r_[a, b], np.r_[b, a], np.tile(rng.normal(size=30), 2)])
+        y = np.tile(rng.normal(size=30), 2)
+        data = dataset_from_arrays(x, y)
+        fit = fit_ols(data)
+        assert fit.p_values[1] == pytest.approx(fit.p_values[2], rel=1e-12)
+        assert min(fit.p_values[1:3]) > max(fit.p_values[[0, 3]])
+        assert compressed_state(data, [0, 1, 2, 3], 0.05) is None
+
+    def test_rank_deficient_step_left_to_refit(self):
+        data = self.design(lambda x, rng: x[:, 3])
+        assert compressed_state(data, [0, 1, 2, 3, 5], 0.05) is None
+        assert compressed_state(data, [0, 1, 2, 5], 0.05) is not None
+
+    @pytest.mark.parametrize("scale, certified", [(1e-1, True), (1e-3, False), (1e-7, False)])
+    def test_ill_conditioned_step_left_to_refit(self, scale, certified):
+        data = self.design(lambda x, rng: x[:, 3] + scale * rng.normal(size=60))
+        keep = [0, 1, 2, 3, 5]
+        r = numcore.qr_pivoted(data.design.take_columns(keep)).r
+        assert (abs(r[0, 0] / r[-1, -1]) <= MAX_COMPRESSED_CONDITION) == certified
+        assert (compressed_state(data, keep, 0.05) is not None) == certified
