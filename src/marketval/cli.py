@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import diagnostics as diag
-from . import report
+from . import numcore, report
 from .errors import (
     DegenerateModelError,
     DegenerateResponseError,
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .features import EncodedDataset, encode_dataset
 from .ingest import FilterConfig, apply_filters, parse_players_csv
-from .ols import FitResult, fit_ols
+from .ols import FitResult, fit_from_factors, fit_ols
 from .selection import backward_eliminate
 from .synth import generate_players, records_to_csv, truth_to_dict
 
@@ -147,16 +147,18 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         trace = backward_eliminate(dataset, args.alpha, confidence_level=args.confidence)
         fit = trace.final_fit
         model_data = _dataset_for_fit(dataset, fit)
+        factors = numcore.qr_pivoted(model_data.design)
         if not trace.conforming:
             exit_code = EXIT_NO_CONFORMING_MODEL
     else:
-        fit = fit_ols(dataset, confidence_level=args.confidence)
         model_data = dataset
+        factors = numcore.qr_pivoted(model_data.design)
+        fit = fit_from_factors(model_data, factors, confidence_level=args.confidence)
     bp_results = {
-        variant: diag.breusch_pagan(fit, model_data, variant)
+        variant: diag.breusch_pagan(fit, model_data, variant, factors)
         for variant in (diag.BP_KOENKER, diag.BP_ORIGINAL)
     }
-    vif_report = diag.vif(model_data)
+    vif_report = diag.vif(model_data, factors)
     actual = model_data.response
     mape_value = diag.mape(actual, fit.fitted)
     series = diag.plot_series(fit)

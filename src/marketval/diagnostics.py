@@ -11,7 +11,7 @@ from . import numcore
 from .distributions import chi2_sf
 from .errors import InvalidInputError
 from .features import KIND_BIAS, EncodedDataset
-from .ols import FitResult
+from .ols import FitResult, r_squared, total_sum_of_squares
 
 BP_KOENKER = "koenker"
 BP_ORIGINAL = "original"
@@ -49,75 +49,57 @@ class VifReport:
     entries: tuple[VifEntry, ...]
 
 
-def _aux_regression(design: np.ndarray, has_bias: bool, target: np.ndarray):
-    """R^2 and explained sum of squares of target regressed on `design`.
-
-    Returns (r_squared, ess, non_bias_rank).  The design is expected to
-    carry its bias column first when `has_bias` is set; R^2 is centered in
-    that case and uncentered otherwise.  A zero-variance target has nothing
-    to explain: R^2 = 0, ESS = 0.
-    """
-    solution = numcore.least_squares_solve(design, target)
-    if has_bias:
-        tss = float(np.sum((target - target.mean()) ** 2))
-    else:
-        tss = float(target @ target)
-    non_bias_rank = solution.rank - (1 if has_bias else 0)
-    if tss <= 0.0:
-        return 0.0, 0.0, non_bias_rank
-    r2 = min(1.0, max(0.0, 1.0 - solution.rss / tss))
-    ess = max(0.0, tss - solution.rss)
-    return r2, ess, non_bias_rank
-
-
-def _model_matrix(fit: FitResult, data: EncodedDataset) -> tuple[np.ndarray, bool]:
-    """Retained-column design for the auxiliary regression, bias guaranteed.
-
-    Columns the main fit dropped as collinear are dropped here too.  When
-    the model itself carries no bias column, one is prepended so the
-    auxiliary regression is always run against an intercept.
-    """
-    dropped = set(fit.dropped_columns)
-    keep = [j for j, name in enumerate(data.column_names) if name not in dropped]
-    a = data.design.array()[:, keep]
-    if data.has_bias:
-        return a, True
-    return np.column_stack([np.ones(a.shape[0]), a]), True
-
-
-def breusch_pagan(fit: FitResult, data: EncodedDataset, variant: str = BP_KOENKER) -> BreuschPaganResult:
+def breusch_pagan(fit: FitResult, data: EncodedDataset, variant: str = BP_KOENKER,
+                  factors: numcore.QrFactors | None = None) -> BreuschPaganResult:
     """Breusch-Pagan heteroscedasticity test of a fitted model.
 
-    The auxiliary regression uses the same design matrix as the main fit
-    (retained columns only, intercept always included).  The koenker
-    variant regresses squared residuals and takes LM = n * R^2_aux; the
-    original variant regresses e^2 / (rss/n) and takes LM = ESS / 2.  In
-    both cases p = chi2_sf(LM, df) with df = non-bias regressors in the
-    auxiliary regression.  The null hypothesis is homoscedasticity.
+    The auxiliary regression of g = e^2 / (rss/n) on the retained columns
+    plus an intercept is a projection onto the first `rank` columns of Q
+    from the pivoted QR of `data.design` (`factors`, computed when not
+    given).  Without a bias column the basis gains the normalised part of
+    the ones vector orthogonal to them, when its norm reaches
+    DEFAULT_RANK_TOL * max(|R[0, 0]|, sqrt(n)): the rank cut of a pivoted QR
+    of [1, X_retained] that pivots the ones vector last.  (Where columns
+    shorter than sqrt(n) carry the near-dependency, such a QR pivots the
+    ones vector first and cuts one of them instead, further from exact
+    dependency, so near the cut it can report one df less.)  koenker takes
+    LM = n * R^2_aux, original LM = ESS_aux / 2 (R^2 does not depend on the
+    scale of g); a constant g gives LM = 0.  p = chi2_sf(LM, df),
+    df = basis width - 1.  The null hypothesis is homoscedasticity.
     """
     if variant not in (BP_KOENKER, BP_ORIGINAL):
         raise InvalidInputError(f"unknown variant {variant!r}")
     if fit.df_resid < 1:
         raise InvalidInputError("Breusch-Pagan requires residual degrees of freedom")
+    if factors is None:
+        factors = numcore.qr_pivoted(data.design)
     n = fit.n_obs
-    e2 = np.asarray(fit.residuals) ** 2
-    aux, has_bias = _model_matrix(fit, data)
-    if variant == BP_KOENKER:
-        r2, _, df = _aux_regression(aux, has_bias, e2)
-        lm = n * r2
-    else:
-        sigma2_ml = fit.rss / n
-        g = e2 / sigma2_ml
-        _, ess, df = _aux_regression(aux, has_bias, g)
-        lm = ess / 2.0
+    q = factors.q[:, : factors.rank]
+    intercept = None
+    if not data.has_bias:
+        ones = 1.0 - q @ q.sum(axis=0)
+        norm = float(np.linalg.norm(ones))
+        if norm >= numcore.DEFAULT_RANK_TOL * max(abs(float(factors.r[0, 0])), math.sqrt(n)):
+            intercept = ones / norm
+    df = factors.rank - (0 if intercept is not None else 1)
     if df < 1:
         # No non-bias regressors survived: the test statistic is 0 by construction.
         return BreuschPaganResult(lm_statistic=0.0, df=0, p_value=1.0, variant=variant)
+    e2 = np.asarray(fit.residuals) ** 2
+    g = e2 / (fit.rss / n) if fit.rss > 0.0 else e2
+    resid = g - q @ (q.T @ g)
+    if intercept is not None:
+        resid -= intercept * float(intercept @ resid)
+    tss = total_sum_of_squares(g, True)
+    rss = float(resid @ resid)
+    if tss <= 0.0:
+        lm = 0.0
+    elif variant == BP_KOENKER:
+        lm = n * r_squared(rss, tss)
+    else:
+        lm = max(0.0, tss - rss) / 2.0
     return BreuschPaganResult(
-        lm_statistic=float(lm),
-        df=int(df),
-        p_value=chi2_sf(float(lm), int(df)),
-        variant=variant,
+        lm_statistic=float(lm), df=df, p_value=chi2_sf(float(lm), df), variant=variant
     )
 
 
@@ -129,14 +111,14 @@ def _band(vif_value: float) -> str:
     return VIF_HIGH
 
 
-def vif(data: EncodedDataset) -> VifReport:
+def vif(data: EncodedDataset, factors: numcore.QrFactors | None = None) -> VifReport:
     """Variance inflation factors for every non-bias column.
 
     VIF_j = 1 / (1 - R^2_j), where R^2_j is the R^2 of column j regressed
     on all the others: centered when the dataset has a bias column,
     uncentered otherwise.  Every VIF is read off one pivoted QR of the
-    design, X P = Q R, through the identity (Belsley, Kuh & Welsch,
-    *Regression Diagnostics*, 1980)
+    design, X P = Q R (`factors`, computed when not given), through the
+    identity (Belsley, Kuh & Welsch, *Regression Diagnostics*, 1980)
 
         VIF_j = [(X'X)^{-1}]_jj * S_j,
 
@@ -172,7 +154,8 @@ def vif(data: EncodedDataset) -> VifReport:
     if len(non_bias) < 2:
         raise InvalidInputError("vif needs at least 2 non-bias columns")
     a = data.design.array()
-    factors = numcore.qr_pivoted(data.design)
+    if factors is None:
+        factors = numcore.qr_pivoted(data.design)
     rank = factors.rank
     pivoted = list(factors.permutation[:rank])
     # Diagonal of the inverse Gram matrix by original column index.
@@ -191,11 +174,7 @@ def vif(data: EncodedDataset) -> VifReport:
 
     entries: list[VifEntry] = []
     for j in non_bias:
-        target = a[:, j]
-        if data.has_bias:
-            spread = float(np.sum((target - target.mean()) ** 2))
-        else:
-            spread = float(target @ target)
+        spread = total_sum_of_squares(a[:, j], data.has_bias)
         v = max(1.0, float(inv_gram[j]) * spread)
         name = data.columns[j].name
         if spread <= 0.0 or infinite[j] or v >= _COLLINEAR_VIF:  # (a), (b), (c), (d)

@@ -32,7 +32,8 @@ _LANCZOS_COEFFS = (
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
-# Convergence knobs for the series / continued-fraction evaluations.
+# Convergence knobs for the series / continued-fraction evaluations.  The
+# cap holds chi-square tails up to df ~5000 and t and F tails up to df 2e4.
 _EPS = 1e-16
 _FPMIN = 1e-300
 _MAX_ITER = 500
@@ -99,7 +100,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
-    return h  # converged to machine precision limits; iteration cap hit
+    raise DomainError(f"incomplete beta fraction did not converge in {_MAX_ITER} iterations")
 
 
 def reg_inc_beta(a: float, b: float, x: float) -> float:
@@ -145,6 +146,8 @@ def _gamma_series(s: float, x: float) -> float:
         total += delta
         if abs(delta) < abs(total) * _EPS:
             break
+    else:
+        raise DomainError(f"incomplete gamma series did not converge in {_MAX_ITER} iterations")
     return total * math.exp(-x + s * math.log(x) - ln_gamma(s))
 
 
@@ -168,6 +171,8 @@ def _gamma_cf(s: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
+    else:
+        raise DomainError(f"incomplete gamma fraction did not converge in {_MAX_ITER} iterations")
     return h * math.exp(-x + s * math.log(x) - ln_gamma(s))
 
 

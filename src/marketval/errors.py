@@ -50,7 +50,7 @@ class DegenerateModelError(MarketvalError):
 
 
 class DegenerateResponseError(MarketvalError):
-    """The response has zero total sum of squares, so fit statistics are undefined."""
+    """The response's total sum of squares is zero or overflows, so fit statistics are undefined."""
 
 
 class InferenceUnavailableError(MarketvalError):

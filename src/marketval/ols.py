@@ -162,7 +162,8 @@ def fit_ols(data: EncodedDataset, confidence_level: float = 0.95) -> FitResult:
     ------
     DegenerateResponseError
         If the total sum of squares is zero (constant response against a
-        bias column, or an all-zero response without one).
+        bias column, or an all-zero response without one), or if it or the
+        residual sum of squares overflows float64.
     """
     return fit_from_factors(data, numcore.qr_pivoted(data.design), confidence_level)
 
@@ -185,17 +186,19 @@ def fit_from_factors(
 
     if factors.rank == 0:
         raise DegenerateModelError("design matrix has numerical rank zero")
-    solution = numcore.solve_from_factors(factors, x, y)
+    has_bias = data.has_bias
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as an error below
+        solution = numcore.solve_from_factors(factors, x, y)
+        tss = total_sum_of_squares(y, has_bias)
+    rss = solution.rss
+    if not (math.isfinite(tss) and math.isfinite(rss)):
+        raise DegenerateResponseError(f"response sums of squares overflow (tss {tss}, rss {rss})")
+    if tss <= 0.0:
+        raise DegenerateResponseError("response has zero total sum of squares")
     beta = solution.coefficients
     fitted = x.array() @ beta
     residuals = y - fitted
-    rss = solution.rss
     rank = solution.rank
-
-    has_bias = data.has_bias
-    tss = total_sum_of_squares(y, has_bias)
-    if tss <= 0.0:
-        raise DegenerateResponseError("response has zero total sum of squares")
 
     k_params = rank
     df_resid = n - rank

@@ -60,8 +60,8 @@ class EliminationStep:
 class EliminationTrace:
     """One backward-elimination run: every removal plus the final fit.
 
-    `conforming` is False when the loop hit the single-column floor with
-    that column's p-value still above alpha (no conforming model exists on
+    `conforming` is False when the loop hit the single-retained-column floor
+    with that column's p-value still above alpha (no conforming model exists on
     this path).
     """
 
@@ -156,8 +156,9 @@ def backward_eliminate(
     Each round finds the largest p-value among retained columns (ties
     broken by lowest column index) and, if it exceeds `alpha`, removes
     that column and fits the smaller model.  The bias column competes like
-    any other.  The last remaining column is never removed; if its p-value
-    still exceeds alpha the trace is flagged non-conforming.
+    any other.  The last retained column is never removed, even when
+    columns dropped as collinear remain beside it; if its p-value still
+    exceeds alpha the trace is flagged non-conforming.
 
     The first fit factors the full design; the rounds after it fit the
     compressed problem (module docstring) and fall back to a full refit
@@ -180,10 +181,11 @@ def backward_eliminate(
     del factors  # the n x p Q must not stay alive beside the final fit's own
     keep = list(range(data.design.cols))
     worst = _worst_retained(fit)
+    k_params = fit.k_params
     steps: list[EliminationStep] = []
     conforming = True
     while worst is not None and worst[2] > alpha:
-        if len(keep) == 1:
+        if k_params == 1:
             conforming = False
             break
         pos, name, p = worst
@@ -196,6 +198,7 @@ def backward_eliminate(
         else:
             fit = None
             worst, summary = state
+        k_params = summary.k_params
         steps.append(EliminationStep(removed_column=name, removed_p_value=p, model_after=summary))
     if fit is None:
         fit = fit_ols(data.select_columns(keep), confidence_level)

@@ -14,9 +14,17 @@ import numpy as np
 from scipy import integrate
 
 from marketval import numcore
-from marketval.diagnostics import VIF_HIGH, VifEntry, VifReport, _band
+from marketval.diagnostics import (
+    BP_KOENKER,
+    VIF_HIGH,
+    BreuschPaganResult,
+    VifEntry,
+    VifReport,
+    _band,
+)
+from marketval.distributions import chi2_sf
 from marketval.features import KIND_BIAS, EncodedDataset
-from marketval.ols import fit_ols
+from marketval.ols import FitResult, fit_ols
 from marketval.selection import EliminationStep, EliminationTrace, ModelSummary
 
 
@@ -107,6 +115,42 @@ def vif_by_aux_regressions(data: EncodedDataset) -> VifReport:
     return VifReport(entries=tuple(entries))
 
 
+def breusch_pagan_by_aux_regression(
+    fit: FitResult, data: EncodedDataset, variant: str = BP_KOENKER
+) -> BreuschPaganResult:
+    """Breusch-Pagan test by an explicit auxiliary least-squares regression.
+
+    The auxiliary design is [1, X_retained]: the columns the fit kept, with
+    a ones column prepended when the model has no bias column, factored
+    anew with its own rank cut.  The koenker variant regresses e^2 and
+    takes LM = n * R^2 (centered); the original regresses
+    g = e^2 / (rss/n) and takes LM = ESS / 2.  df is the auxiliary rank
+    minus one, and a zero-variance target gives R^2 = ESS = 0.
+    """
+    n = fit.n_obs
+    dropped = set(fit.dropped_columns)
+    keep = [j for j, name in enumerate(data.column_names) if name not in dropped]
+    aux = data.design.array()[:, keep]
+    if not data.has_bias:
+        aux = np.column_stack([np.ones(n), aux])
+    e2 = np.asarray(fit.residuals) ** 2
+    target = e2 if variant == BP_KOENKER else e2 / (fit.rss / n)
+    solution = numcore.least_squares_solve(aux, target)
+    tss = float(np.sum((target - target.mean()) ** 2))
+    df = solution.rank - 1
+    if tss <= 0.0:
+        lm = 0.0
+    elif variant == BP_KOENKER:
+        lm = n * min(1.0, max(0.0, 1.0 - solution.rss / tss))
+    else:
+        lm = max(0.0, tss - solution.rss) / 2.0
+    if df < 1:
+        return BreuschPaganResult(lm_statistic=0.0, df=0, p_value=1.0, variant=variant)
+    return BreuschPaganResult(
+        lm_statistic=float(lm), df=df, p_value=chi2_sf(float(lm), df), variant=variant
+    )
+
+
 def backward_eliminate_by_refits(
     data: EncodedDataset, alpha: float, confidence_level: float = 0.95
 ) -> EliminationTrace:
@@ -114,9 +158,9 @@ def backward_eliminate_by_refits(
 
     Each round selects the kept columns out of the dataset, fits them with
     `fit_ols` and removes the column with the largest retained p-value
-    (ties -> lowest index) while that p-value exceeds alpha; the last column
-    is never removed, and a trace stopped there with p > alpha is
-    non-conforming.
+    (ties -> lowest index) while that p-value exceeds alpha; the last
+    retained column is never removed, and a trace stopped there with
+    p > alpha is non-conforming.
     """
     current = data
     fit = fit_ols(current, confidence_level)
@@ -134,7 +178,7 @@ def backward_eliminate_by_refits(
         worst_p = max(p for p, _, _ in candidates)
         if worst_p <= alpha:
             break
-        if current.design.cols == 1:
+        if fit.k_params == 1:
             conforming = False
             break
         worst_j = min(j for p, j, _ in candidates if p == worst_p)

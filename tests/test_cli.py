@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from marketval import numcore
 from marketval.cli import (
     EXIT_EMPTY,
     EXIT_NO_CONFORMING_MODEL,
@@ -225,6 +226,61 @@ class TestDiagnoseCommand:
             main(["diagnose", "--input", str(synth_csv), "--out", str(out), "--select"])
         for name in ("diagnostics.json", "residuals.csv", "measured_predicted.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestDiagnoseFactorizations:
+    @staticmethod
+    def tall_qr_calls(monkeypatch, argv):
+        """Exit code and number of `qr_pivoted` calls on the full n-row design.
+
+        Backward elimination also factors p-row compressed problems; n > p,
+        so the tall calls are those with the most rows.
+        """
+        rows = []
+        original = numcore.qr_pivoted
+
+        def counting(*args, **kwargs):
+            factors = original(*args, **kwargs)
+            rows.append(factors.q.shape[0])
+            return factors
+
+        monkeypatch.setattr(numcore, "qr_pivoted", counting)
+        code = main(argv)
+        monkeypatch.undo()
+        return code, rows.count(max(rows))
+
+    def test_full_model_factored_once(self, tmp_path, synth_csv, monkeypatch):
+        argv = ["diagnose", "--input", str(synth_csv), "--out", str(tmp_path / "d")]
+        assert self.tall_qr_calls(monkeypatch, argv) == (EXIT_OK, 1)
+
+    def test_select_adds_one_factorization(self, tmp_path, synth_csv, monkeypatch):
+        common = ["--input", str(synth_csv), "--alpha", "0.05"]
+        code, select_calls = self.tall_qr_calls(
+            monkeypatch, ["select", *common, "--out", str(tmp_path / "s")])
+        assert code == EXIT_OK and select_calls >= 1
+        code, diagnose_calls = self.tall_qr_calls(
+            monkeypatch, ["diagnose", "--select", *common, "--out", str(tmp_path / "d")])
+        assert code == EXIT_OK
+        assert diagnose_calls == select_calls + 1
+
+
+class TestOverflowingResponse:
+    @pytest.mark.parametrize("command", ["fit", "select", "diagnose"])
+    def test_exit_code_names_overflow(self, tmp_path, synth_csv, capsys, command):
+        lines = synth_csv.read_text(encoding="utf-8").splitlines(keepends=True)
+        column = lines[0].rstrip("\n").split(",").index("market_value_m_eur")
+        for i in range(1, 6):
+            cells = lines[i].split(",")
+            cells[column] = "1e308"
+            lines[i] = ",".join(cells)
+        big = tmp_path / "big.csv"
+        big.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "o"
+        code = main([command, "--input", str(big), "--out", str(out),
+                     "--min-value", "0", "--min-minutes", "0"])
+        assert code == EXIT_EMPTY
+        assert "overflow" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfidenceFlag:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from marketval import numcore
@@ -24,7 +24,7 @@ from marketval.distributions import chi2_sf
 from marketval.errors import InvalidInputError
 from marketval.ols import FitResult, fit_ols
 from conftest import dataset_from_arrays
-from oracles import vif_by_aux_regressions
+from oracles import breusch_pagan_by_aux_regression, vif_by_aux_regressions
 
 
 def fit_with_residuals(data, residuals):
@@ -94,6 +94,14 @@ class TestBreuschPagan:
         result = breusch_pagan(fit, data, BP_KOENKER)
         assert result.lm_statistic == 0.0
         assert result.p_value == 1.0
+
+    def test_zero_residuals(self):
+        # An exact fit: e^2 / (rss/n) would be 0/0; there is nothing to explain.
+        fit, data = bp_hand_case()
+        fit = fit_with_residuals(data, [0.0, 0.0, 0.0, 0.0])
+        for variant in (BP_KOENKER, BP_ORIGINAL):
+            result = breusch_pagan(fit, data, variant)
+            assert (result.lm_statistic, result.df, result.p_value) == (0.0, 1, 1.0)
 
     def test_p_value_identity(self):
         rng = np.random.default_rng(300)
@@ -330,6 +338,68 @@ class TestVifAgainstAuxRegressions:
         report = vif(dataset_from_arrays(design, rng.normal(size=60)))
         assert len(report.entries) == p - 1
         assert len(calls) == 1
+
+
+class TestBreuschPaganAgainstAuxRegression:
+    @given(vif_designs())
+    def test_matches_aux_regression(self, data):
+        fit = fit_ols(data)
+        assume(fit.df_resid >= 1)
+        factors = numcore.qr_pivoted(data.design)
+        pivots = np.abs(np.diag(factors.r))
+        well_conditioned = pivots[0] <= 1e3 * pivots[factors.rank - 1]
+        for variant in (BP_KOENKER, BP_ORIGINAL):
+            fast = breusch_pagan(fit, data, variant)
+            slow = breusch_pagan_by_aux_regression(fit, data, variant)
+            assert fast.df == slow.df, (fast, slow)
+            if well_conditioned:
+                assert fast.lm_statistic == pytest.approx(slow.lm_statistic, rel=1e-9)
+
+    @given(vif_designs())
+    def test_passed_factors_change_nothing(self, data):
+        fit = fit_ols(data)
+        assume(fit.df_resid >= 1)
+        factors = numcore.qr_pivoted(data.design)
+        for variant in (BP_KOENKER, BP_ORIGINAL):
+            assert breusch_pagan(fit, data, variant, factors) == breusch_pagan(fit, data, variant)
+        assert vif(data, factors) == vif(data)
+
+    @staticmethod
+    def intercept_case(scale, near_ones_scale, d):
+        # No bias column; the columns are scale * h1 and
+        # near_ones_scale * (ones + d h2).  The ones vector lies
+        # d/sqrt(1 + d^2) * sqrt(8) from their span, and the cut is
+        # 1e-10 * max(|R00|, sqrt(8)).
+        design = np.column_stack([scale * _H1, near_ones_scale * (np.ones(8) + d * _H2)])
+        y = np.array([1.0, 4.0, -2.0, 3.0, 0.5, -6.0, 2.0, 9.0])
+        return dataset_from_arrays(design, y, bias=False)
+
+    @pytest.mark.parametrize("d, df", [(0.98e-4, 1), (1.02e-4, 2)])
+    def test_intercept_cut_scaled_by_largest_column(self, d, df):
+        # |R00| = 1e6 sqrt(8): the cut sits at d = 1e-4.  The near-ones
+        # column is longer than the ones vector, so the oracle's own
+        # factorization pivots the ones vector last and cuts the same way.
+        data = self.intercept_case(1e6, 1.0, d)
+        fit = fit_ols(data)
+        assert fit.dropped_columns == ()
+        for variant in (BP_KOENKER, BP_ORIGINAL):
+            fast = breusch_pagan(fit, data, variant)
+            slow = breusch_pagan_by_aux_regression(fit, data, variant)
+            assert fast.df == slow.df == df
+            assert fast.lm_statistic == pytest.approx(slow.lm_statistic, rel=1e-9)
+
+    @pytest.mark.parametrize("d, df", [(0.98e-10, 1), (1.02e-10, 2)])
+    def test_intercept_cut_scaled_by_sqrt_n(self, d, df):
+        # Columns of length 1e-3 sqrt(8): sqrt(8) sets the cut, at d = 1e-10.
+        # The oracle pivots its ones column first and cuts the short
+        # near-ones column, whose residual is 1e-3 times the ones vector's:
+        # it reports df 1 up to d = 1e-7.
+        data = self.intercept_case(1e-3, 1e-3, d)
+        fit = fit_ols(data)
+        assert fit.dropped_columns == ()
+        for variant in (BP_KOENKER, BP_ORIGINAL):
+            assert breusch_pagan(fit, data, variant).df == df
+            assert breusch_pagan_by_aux_regression(fit, data, variant).df == 1
 
 
 # Orthogonal, centered +-1 columns of length 8 (Hadamard rows).

@@ -207,6 +207,24 @@ class TestChi2Sf:
             df = int(rng.integers(1, 80))
             assert chi2_sf(x, df) == pytest.approx(chi2_sf_quad(x, df), abs=1e-9)
 
+    def test_large_df_within_iteration_cap(self):
+        mpmath.mp.dps = 40
+        for x in (4500.0, 5000.0, 5500.0):
+            expected = float(mpmath.gammainc(2500, x / 2.0, mpmath.inf, regularized=True))
+            assert chi2_sf(x, 5000) == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize("df", [20_000, 100_000, 1_000_000])
+    def test_iteration_cap_raises(self, df):
+        # Near the median the series needs ~800 iterations at df 2e4.  The
+        # partial sum returned at the cap read 0.739 at df 1e6 (true 0.49981).
+        with pytest.raises(DomainError, match="gamma series did not converge"):
+            chi2_sf(float(df), df)
+
+    def test_fraction_iteration_cap_raises(self):
+        # Just past the series/fraction split, at df 1e6.
+        with pytest.raises(DomainError, match="gamma fraction did not converge"):
+            chi2_sf(1e6 + 2.0, 10**6)
+
     def test_small_tail_keeps_relative_precision(self):
         # Deep tails must not collapse to 0 from cancellation.
         v = chi2_sf(300.0, 3)
@@ -244,6 +262,13 @@ class TestFSf:
         # P(F_{a,b} >= f) = 1 - P(F_{b,a} >= 1/f)
         for f, a, b in ((2.0, 3, 11), (0.7, 8, 4), (5.5, 2, 2)):
             assert f_sf(f, a, b) == pytest.approx(1.0 - f_sf(1.0 / f, b, a), abs=1e-12)
+
+    def test_iteration_cap_raises(self):
+        # Both numerator and denominator df near 1e7 put the beta fraction
+        # past its cap at the median; df up to 2e4 need at most ~120 terms.
+        assert f_sf(1.0, 20_000, 20_000) == pytest.approx(0.5, abs=1e-9)
+        with pytest.raises(DomainError, match="beta fraction did not converge"):
+            f_sf(1.0, 10**7, 10**7)
 
     def test_domain(self):
         with pytest.raises(DomainError):

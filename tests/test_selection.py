@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marketval import numcore
-from marketval.errors import DegenerateModelError, InferenceUnavailableError, InvalidInputError
+from marketval.errors import InferenceUnavailableError, InvalidInputError
 from marketval.features import EncodedDataset, encode_dataset
 from marketval.ingest import apply_filters, parse_players_csv
 from marketval.ols import fit_ols
@@ -117,6 +117,19 @@ class TestBackwardEliminate:
         assert not trace.conforming
         assert len(trace.final_fit.column_names) == 1
         assert len(trace.steps) == 2
+
+    def test_floor_counts_retained_columns(self):
+        # x1 is all zeros, so the model retains x0 alone: the floor holds
+        # there instead of removing x0 and leaving a rank-zero model.
+        rng = np.random.default_rng(5)
+        x = np.column_stack([rng.normal(size=30), np.zeros(30)])
+        data = dataset_from_arrays(x, rng.normal(size=30), bias=False)
+        trace = backward_eliminate(data, 0.01)
+        assert not trace.conforming
+        assert trace.steps == ()
+        assert trace.final_fit.retained_columns == ("x0",)
+        assert trace.final_fit.p_values[0] > 0.01
+        assert_same_as_refits(data, 0.01)
 
     def test_step_count_matches_column_difference(self):
         rng = np.random.default_rng(402)
@@ -251,13 +264,7 @@ class TestBackwardEliminate:
 
 def assert_same_as_refits(data, alpha):
     """`backward_eliminate` against the refit-every-round oracle."""
-    try:
-        oracle = backward_eliminate_by_refits(data, alpha)
-    except DegenerateModelError:
-        # Elimination left only an all-zero column: both routes must refuse it.
-        with pytest.raises(DegenerateModelError):
-            backward_eliminate(data, alpha)
-        return
+    oracle = backward_eliminate_by_refits(data, alpha)
     trace = backward_eliminate(data, alpha)
     assert [s.removed_column for s in trace.steps] == [s.removed_column for s in oracle.steps]
     assert [s.model_after.k_params for s in trace.steps] == [
