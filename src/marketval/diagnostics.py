@@ -49,15 +49,14 @@ class VifReport:
     entries: tuple[VifEntry, ...]
 
 
-def breusch_pagan(fit: FitResult, data: EncodedDataset, variant: str = BP_KOENKER,
-                  factors: numcore.QrFactors | None = None) -> BreuschPaganResult:
+def breusch_pagan(fit: FitResult, variant: str = BP_KOENKER) -> BreuschPaganResult:
     """Breusch-Pagan heteroscedasticity test of a fitted model.
 
     The auxiliary regression of g = e^2 / (rss/n) on the retained columns
     plus an intercept is a projection onto the first `rank` columns of Q
-    from the pivoted QR of `data.design` (`factors`, computed when not
-    given).  Without a bias column the basis gains the normalised part of
-    the ones vector orthogonal to them, when its norm reaches
+    from the fit's own pivoted QR (`fit.factors`).  Without a bias column
+    the basis gains the normalised part of the ones vector orthogonal to
+    them, when its norm reaches
     DEFAULT_RANK_TOL * max(|R[0, 0]|, sqrt(n)): the rank cut of a pivoted QR
     of [1, X_retained] that pivots the ones vector last.  (Where columns
     shorter than sqrt(n) carry the near-dependency, such a QR pivots the
@@ -71,12 +70,11 @@ def breusch_pagan(fit: FitResult, data: EncodedDataset, variant: str = BP_KOENKE
         raise InvalidInputError(f"unknown variant {variant!r}")
     if fit.df_resid < 1:
         raise InvalidInputError("Breusch-Pagan requires residual degrees of freedom")
-    if factors is None:
-        factors = numcore.qr_pivoted(data.design)
+    factors = fit.factors
     n = fit.n_obs
     q = factors.q[:, : factors.rank]
     intercept = None
-    if not data.has_bias:
+    if not fit.has_bias:
         ones = 1.0 - q @ q.sum(axis=0)
         norm = float(np.linalg.norm(ones))
         if norm >= numcore.DEFAULT_RANK_TOL * max(abs(float(factors.r[0, 0])), math.sqrt(n)):

@@ -102,40 +102,41 @@ class LeastSquaresSolution:
     """Minimum-norm-style least squares solution with collinear columns zeroed.
 
     `coefficients` has one entry per input column; entries at
-    `dropped_columns` are exactly 0.0.
+    `dropped_columns` are exactly 0.0.  `fitted` is ``x @ coefficients``,
+    the vector `rss` was measured from.
     """
 
     coefficients: np.ndarray
     rank: int
     dropped_columns: tuple[int, ...]
     rss: float
+    fitted: np.ndarray
 
 
-def qr_pivoted(x, rank_tol: float = DEFAULT_RANK_TOL) -> QrFactors:
-    """Factor `x` by QR with column pivoting and cut the rank at `rank_tol`.
+def qr_pivoted(x) -> QrFactors:
+    """Factor `x` by QR with column pivoting and cut the rank at `DEFAULT_RANK_TOL`.
+
+    Column ``i`` (in pivot order) is dropped when
+    ``|r[i, i]| < DEFAULT_RANK_TOL * |r[0, 0]|``.  The tolerance is fixed
+    because Breusch-Pagan's intercept cut and VIF's collinearity rule are
+    measured against the same one.
 
     Parameters
     ----------
     x : Matrix or array-like
         Matrix to factor, at least one row and one column.
-    rank_tol : float
-        Relative pivot threshold: column ``i`` (in pivot order) is dropped
-        when ``|r[i, i]| < rank_tol * |r[0, 0]|``.
 
     Returns
     -------
     QrFactors
     """
-    m = as_matrix(x)
-    if not rank_tol > 0.0:
-        raise InvalidInputError("rank_tol must be positive")
-    a = m.array()
+    a = as_matrix(x).array()
     q, r, piv = scipy.linalg.qr(a, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         rank = 0
     else:
-        below = np.nonzero(diag < rank_tol * diag[0])[0]
+        below = np.nonzero(diag < DEFAULT_RANK_TOL * diag[0])[0]
         rank = int(below[0]) if below.size else int(diag.size)
     permutation = tuple(int(j) for j in piv)
     dropped = tuple(sorted(permutation[rank:]))
@@ -158,16 +159,18 @@ def solve_from_factors(factors: QrFactors, x: Matrix, y: np.ndarray) -> LeastSqu
         qty = factors.q.T @ y
         z = scipy.linalg.solve_triangular(factors.r[:rank, :rank], qty[:rank])
         beta[list(factors.permutation[:rank])] = z
-    resid = y - a @ beta
+    fitted = a @ beta
+    resid = y - fitted
     return LeastSquaresSolution(
         coefficients=beta,
         rank=rank,
         dropped_columns=factors.dropped_columns,
         rss=float(resid @ resid),
+        fitted=fitted,
     )
 
 
-def least_squares_solve(x, y, rank_tol: float = DEFAULT_RANK_TOL) -> LeastSquaresSolution:
+def least_squares_solve(x, y) -> LeastSquaresSolution:
     """Solve ``min ||y - x b||^2`` with automatic dropping of collinear columns."""
     m = as_matrix(x)
     yv = np.asarray(y, dtype=float).reshape(-1)
@@ -175,7 +178,7 @@ def least_squares_solve(x, y, rank_tol: float = DEFAULT_RANK_TOL) -> LeastSquare
         raise InvalidInputError("response length must match the matrix row count")
     if not np.all(np.isfinite(yv)):
         raise InvalidInputError("response entries must be finite")
-    factors = qr_pivoted(m, rank_tol)
+    factors = qr_pivoted(m)
     return solve_from_factors(factors, m, yv)
 
 

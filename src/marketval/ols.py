@@ -12,7 +12,7 @@ retained column (bias included).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,9 @@ class FitResult:
     vectors; `dropped_columns` lists their names.  `log_likelihood`, `aic`
     and `bic` are NaN when `likelihood_available` is False (perfect fit);
     the inference vectors are NaN throughout when `inference_available` is
-    False (no residual degrees of freedom).
+    False (no residual degrees of freedom).  `factors` is the pivoted QR of
+    the design the model was fitted on; Breusch-Pagan, VIF and backward
+    elimination read it instead of factoring the design again.
     """
 
     n_obs: int
@@ -69,6 +71,7 @@ class FitResult:
     dropped_columns: tuple[str, ...]
     inference_available: bool
     likelihood_available: bool
+    factors: numcore.QrFactors = field(compare=False, repr=False)
     covariance_type: str = COVARIANCE_TYPE
 
     @property
@@ -165,18 +168,6 @@ def fit_ols(data: EncodedDataset, confidence_level: float = 0.95) -> FitResult:
         bias column, or an all-zero response without one), or if it or the
         residual sum of squares overflows float64.
     """
-    return fit_from_factors(data, numcore.qr_pivoted(data.design), confidence_level)
-
-
-def fit_from_factors(
-    data: EncodedDataset, factors: numcore.QrFactors, confidence_level: float = 0.95
-) -> FitResult:
-    """`fit_ols` given the pivoted QR factorization of `data.design`.
-
-    Lets a caller that needs the factors for more than the fit (backward
-    elimination compresses the design through them) factor only once; the
-    result is identical to `fit_ols(data, confidence_level)`.
-    """
     if not 0.0 < confidence_level < 1.0:
         raise InvalidInputError("confidence_level must be in (0, 1)")
     x = data.design
@@ -184,6 +175,7 @@ def fit_from_factors(
     n = x.rows
     p = x.cols
 
+    factors = numcore.qr_pivoted(x)
     if factors.rank == 0:
         raise DegenerateModelError("design matrix has numerical rank zero")
     has_bias = data.has_bias
@@ -196,7 +188,7 @@ def fit_from_factors(
     if tss <= 0.0:
         raise DegenerateResponseError("response has zero total sum of squares")
     beta = solution.coefficients
-    fitted = x.array() @ beta
+    fitted = solution.fitted
     residuals = y - fitted
     rank = solution.rank
 
@@ -277,6 +269,7 @@ def fit_from_factors(
         dropped_columns=dropped_names,
         inference_available=inference_available,
         likelihood_available=likelihood_available,
+        factors=factors,
     )
 
 

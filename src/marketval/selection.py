@@ -10,8 +10,8 @@ Miller, Subset Selection in Regression, ch. 2).
 
 The compressed fit agrees with a refit of X_S only to rounding, so it
 decides a step only when rounding cannot change the decision (see
-`_compressed_state`).  Any other step refits X_S exactly as `fit_ols` does,
-and the final model is always such a refit.
+`_compressed_state`).  Any other step refits X_S with `fit_ols`, and the
+final model is always such a refit.
 """
 from __future__ import annotations
 
@@ -23,14 +23,7 @@ import numpy as np
 from . import distributions, numcore
 from .errors import InferenceUnavailableError, InvalidInputError
 from .features import EncodedDataset
-from .ols import (
-    FitResult,
-    adjusted_r_squared,
-    fit_from_factors,
-    fit_ols,
-    r_squared,
-    total_sum_of_squares,
-)
+from .ols import FitResult, adjusted_r_squared, fit_ols, r_squared, total_sum_of_squares
 
 # A compressed step decides only when its pivoted R has |r_00 / r_kk| at most
 # this.  On random designs with near twins the worst p-value of such steps
@@ -160,25 +153,24 @@ def backward_eliminate(
     columns dropped as collinear remain beside it; if its p-value still
     exceeds alpha the trace is flagged non-conforming.
 
-    The first fit factors the full design; the rounds after it fit the
-    compressed problem (module docstring) and fall back to a full refit
-    for any round the compressed fit cannot decide exactly.  The removed
-    columns, every `k_params` and the final fit are those of refitting
-    every round; recorded p-values and R^2 may differ from a refit's in
-    the last digits (at most ~1e-12 relative).
+    The first fit's factorization (`FitResult.factors`) compresses the
+    design; the rounds after it fit the compressed problem (module
+    docstring) and fall back to a full refit for any round the compressed
+    fit cannot decide exactly.  The removed columns, every `k_params` and
+    the final fit are those of refitting every round; recorded p-values
+    and R^2 may differ from a refit's in the last digits (at most ~1e-12
+    relative).
 
     Deterministic: identical inputs give identical traces.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError("alpha must be in (0, 1)")
-    factors = numcore.qr_pivoted(data.design)
-    fit: FitResult | None = fit_from_factors(data, factors, confidence_level)
+    fit: FitResult | None = fit_ols(data, confidence_level)
     if not fit.inference_available:
         raise InferenceUnavailableError(
             "initial fit has no residual degrees of freedom; cannot rank p-values"
         )
-    compressed = _Compressed.from_factors(factors, data.response)
-    del factors  # the n x p Q must not stay alive beside the final fit's own
+    compressed = _Compressed.from_factors(fit.factors, data.response)
     keep = list(range(data.design.cols))
     worst = _worst_retained(fit)
     k_params = fit.k_params
@@ -190,13 +182,13 @@ def backward_eliminate(
             break
         pos, name, p = worst
         del keep[pos]
+        fit = None  # its n x p Q must not stay alive beside the next fit's own
         state = _compressed_state(data, keep, compressed, alpha)
         if state is None:
             fit = fit_ols(data.select_columns(keep), confidence_level)
             worst = _worst_retained(fit)
             summary = ModelSummary(fit.k_params, fit.r_squared, fit.adj_r_squared)
         else:
-            fit = None
             worst, summary = state
         k_params = summary.k_params
         steps.append(EliminationStep(removed_column=name, removed_p_value=p, model_after=summary))

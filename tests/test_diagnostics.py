@@ -28,7 +28,7 @@ from oracles import breusch_pagan_by_aux_regression, vif_by_aux_regressions
 
 
 def fit_with_residuals(data, residuals):
-    """A FitResult carrying forced residuals, for hand-built test cases."""
+    """A FitResult of `data`'s design carrying forced residuals, for hand-built test cases."""
     residuals = np.asarray(residuals, dtype=float)
     n = len(residuals)
     p = data.design.cols
@@ -59,6 +59,7 @@ def fit_with_residuals(data, residuals):
         dropped_columns=(),
         inference_available=True,
         likelihood_available=True,
+        factors=numcore.qr_pivoted(data.design),
     )
 
 
@@ -73,7 +74,7 @@ class TestBreuschPagan:
     def test_hand_example_koenker(self):
         # e = [1,-1,2,-2] on x = [1,2,3,4]: aux R^2 = 36/45 = 0.8, LM = 3.2.
         fit, data = bp_hand_case()
-        result = breusch_pagan(fit, data, BP_KOENKER)
+        result = breusch_pagan(fit, BP_KOENKER)
         assert result.lm_statistic == pytest.approx(3.2, abs=1e-10)
         assert result.df == 1
         assert result.p_value == pytest.approx(0.0736382701203026, abs=1e-9)
@@ -82,7 +83,7 @@ class TestBreuschPagan:
     def test_hand_example_original(self):
         # g = e^2/(rss/n) = [0.4, 0.4, 1.6, 1.6]: ESS = 1.152, LM = 0.576.
         fit, data = bp_hand_case()
-        result = breusch_pagan(fit, data, BP_ORIGINAL)
+        result = breusch_pagan(fit, BP_ORIGINAL)
         assert result.lm_statistic == pytest.approx(0.576, abs=1e-10)
         assert result.df == 1
         assert result.p_value == pytest.approx(chi2_sf(0.576, 1), abs=1e-12)
@@ -91,7 +92,7 @@ class TestBreuschPagan:
         design = np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
         data = dataset_from_arrays(design, [1.0, 1.0, 1.0, 1.0])
         fit = fit_with_residuals(data, [1.0, -1.0, 1.0, -1.0])
-        result = breusch_pagan(fit, data, BP_KOENKER)
+        result = breusch_pagan(fit, BP_KOENKER)
         assert result.lm_statistic == 0.0
         assert result.p_value == 1.0
 
@@ -100,7 +101,7 @@ class TestBreuschPagan:
         fit, data = bp_hand_case()
         fit = fit_with_residuals(data, [0.0, 0.0, 0.0, 0.0])
         for variant in (BP_KOENKER, BP_ORIGINAL):
-            result = breusch_pagan(fit, data, variant)
+            result = breusch_pagan(fit, variant)
             assert (result.lm_statistic, result.df, result.p_value) == (0.0, 1, 1.0)
 
     def test_p_value_identity(self):
@@ -111,7 +112,7 @@ class TestBreuschPagan:
         data = dataset_from_arrays(x, y)
         fit = fit_ols(data)
         for variant in (BP_KOENKER, BP_ORIGINAL):
-            r = breusch_pagan(fit, data, variant)
+            r = breusch_pagan(fit, variant)
             assert r.p_value == pytest.approx(chi2_sf(r.lm_statistic, r.df), abs=1e-14)
             assert r.df == 2
 
@@ -131,7 +132,7 @@ class TestBreuschPagan:
         ess = float(np.sum((aux_fitted - e2.mean()) ** 2))
         tss = float(np.sum((e2 - e2.mean()) ** 2))
         expected_lm = 60 * ess / tss
-        result = breusch_pagan(fit, data, BP_KOENKER)
+        result = breusch_pagan(fit, BP_KOENKER)
         assert result.lm_statistic == pytest.approx(expected_lm, rel=1e-8)
         assert result.df == 3
 
@@ -146,13 +147,13 @@ class TestBreuschPagan:
         g = np.asarray(fit.residuals) ** 2 / sigma2_ml
         beta, *_ = np.linalg.lstsq(x, g, rcond=None)
         ess = float(np.sum((x @ beta - g.mean()) ** 2))
-        result = breusch_pagan(fit, data, BP_ORIGINAL)
+        result = breusch_pagan(fit, BP_ORIGINAL)
         assert result.lm_statistic == pytest.approx(ess / 2.0, rel=1e-8)
 
     def test_bias_only_model_degenerate(self):
         data = dataset_from_arrays(np.ones((6, 1)), [1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
         fit = fit_ols(data)
-        result = breusch_pagan(fit, data)
+        result = breusch_pagan(fit)
         assert result.lm_statistic == 0.0
         assert result.df == 0
         assert result.p_value == 1.0
@@ -166,7 +167,7 @@ class TestBreuschPagan:
         data = dataset_from_arrays(x, y, names=["const", "x1", "x2", "x3"])
         fit = fit_ols(data)
         assert len(fit.dropped_columns) == 1
-        result = breusch_pagan(fit, data)
+        result = breusch_pagan(fit)
         assert result.df == 2  # aux uses the retained non-bias columns only
 
     def test_model_without_bias_gets_aux_intercept(self):
@@ -175,20 +176,20 @@ class TestBreuschPagan:
         y = x @ np.array([1.0, 2.0]) + rng.normal(size=40)
         data = dataset_from_arrays(x, y, bias=False)
         fit = fit_ols(data)
-        result = breusch_pagan(fit, data)
+        result = breusch_pagan(fit)
         assert result.df == 2  # both columns count; the added intercept does not
 
     def test_variant_validation(self):
         fit, data = bp_hand_case()
         with pytest.raises(InvalidInputError):
-            breusch_pagan(fit, data, "white")
+            breusch_pagan(fit, "white")
 
     def test_requires_residual_df(self):
         design = np.array([[1.0, 0.0], [1.0, 1.0]])
         data = dataset_from_arrays(design, [1.0, 2.0])
         fit = fit_ols(data)
         with pytest.raises(InvalidInputError):
-            breusch_pagan(fit, data)
+            breusch_pagan(fit)
 
 
 class TestVif:
@@ -349,7 +350,7 @@ class TestBreuschPaganAgainstAuxRegression:
         pivots = np.abs(np.diag(factors.r))
         well_conditioned = pivots[0] <= 1e3 * pivots[factors.rank - 1]
         for variant in (BP_KOENKER, BP_ORIGINAL):
-            fast = breusch_pagan(fit, data, variant)
+            fast = breusch_pagan(fit, variant)
             slow = breusch_pagan_by_aux_regression(fit, data, variant)
             assert fast.df == slow.df, (fast, slow)
             if well_conditioned:
@@ -359,10 +360,7 @@ class TestBreuschPaganAgainstAuxRegression:
     def test_passed_factors_change_nothing(self, data):
         fit = fit_ols(data)
         assume(fit.df_resid >= 1)
-        factors = numcore.qr_pivoted(data.design)
-        for variant in (BP_KOENKER, BP_ORIGINAL):
-            assert breusch_pagan(fit, data, variant, factors) == breusch_pagan(fit, data, variant)
-        assert vif(data, factors) == vif(data)
+        assert vif(data, fit.factors) == vif(data)
 
     @staticmethod
     def intercept_case(scale, near_ones_scale, d):
@@ -383,7 +381,7 @@ class TestBreuschPaganAgainstAuxRegression:
         fit = fit_ols(data)
         assert fit.dropped_columns == ()
         for variant in (BP_KOENKER, BP_ORIGINAL):
-            fast = breusch_pagan(fit, data, variant)
+            fast = breusch_pagan(fit, variant)
             slow = breusch_pagan_by_aux_regression(fit, data, variant)
             assert fast.df == slow.df == df
             assert fast.lm_statistic == pytest.approx(slow.lm_statistic, rel=1e-9)
@@ -398,7 +396,7 @@ class TestBreuschPaganAgainstAuxRegression:
         fit = fit_ols(data)
         assert fit.dropped_columns == ()
         for variant in (BP_KOENKER, BP_ORIGINAL):
-            assert breusch_pagan(fit, data, variant).df == df
+            assert breusch_pagan(fit, variant).df == df
             assert breusch_pagan_by_aux_regression(fit, data, variant).df == 1
 
 

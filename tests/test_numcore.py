@@ -108,10 +108,6 @@ class TestQrPivoted:
         assert f.rank == 0
         assert f.dropped_columns == (0, 1)
 
-    def test_rank_tol_validation(self):
-        with pytest.raises(InvalidInputError):
-            qr_pivoted(np.eye(2), rank_tol=0.0)
-
     def test_retained_columns_sorted_original_indices(self):
         rng = np.random.default_rng(12)
         a = random_full_rank(rng, 8, 4)
@@ -159,6 +155,16 @@ class TestLeastSquares:
         sol = least_squares_solve(a, y)
         resid = y - a @ sol.coefficients
         assert np.allclose(a.T @ resid, 0.0, atol=1e-9)
+
+    def test_fitted_is_the_product_rss_was_measured_from(self):
+        rng = np.random.default_rng(118)
+        a = np.column_stack([random_full_rank(rng, 30, 4), np.zeros(30)])
+        y = rng.normal(size=30)
+        sol = least_squares_solve(a, y)
+        fitted = a @ sol.coefficients
+        assert np.array_equal(sol.fitted, fitted)
+        resid = y - fitted
+        assert sol.rss == float(resid @ resid)
 
     def test_duplicate_column_same_rss_and_zero_coefficient(self):
         rng = np.random.default_rng(16)

@@ -14,6 +14,7 @@ from marketval.errors import (
     InferenceUnavailableError,
     InvalidInputError,
 )
+from marketval.numcore import qr_pivoted
 from marketval.ols import (
     FitResult,
     adjusted_r_squared,
@@ -306,6 +307,7 @@ class TestCoefficientTable:
             dropped_columns=(),
             inference_available=True,
             likelihood_available=True,
+            factors=qr_pivoted(np.eye(n, p)),
         )
 
     def test_summary_row_frozen_values(self):

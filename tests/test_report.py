@@ -265,7 +265,7 @@ class TestDiagnosticsPayloads:
 
     def test_bp_to_dict(self):
         fit, data = self._fit_and_data()
-        res = breusch_pagan(fit, data)
+        res = breusch_pagan(fit)
         d = bp_to_dict(res)
         assert d == {
             "lm_statistic": res.lm_statistic,
@@ -277,8 +277,8 @@ class TestDiagnosticsPayloads:
     def test_diagnostics_to_dict(self):
         fit, data = self._fit_and_data()
         results = {
-            BP_KOENKER: breusch_pagan(fit, data, variant=BP_KOENKER),
-            BP_ORIGINAL: breusch_pagan(fit, data, variant=BP_ORIGINAL),
+            BP_KOENKER: breusch_pagan(fit, variant=BP_KOENKER),
+            BP_ORIGINAL: breusch_pagan(fit, variant=BP_ORIGINAL),
         }
         report = vif(data)
         y = np.asarray(data.response)

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketval import numcore
+from marketval import numcore, selection
 from marketval.errors import InferenceUnavailableError, InvalidInputError
 from marketval.features import EncodedDataset, encode_dataset
 from marketval.ingest import apply_filters, parse_players_csv
@@ -357,6 +358,30 @@ class TestCompressedElimination:
         assert rows_factored.count(n) == (1 if steps == 0 else 2)
         assert len(rows_factored) - rows_factored.count(n) == steps
         assert len(selections) == (0 if steps == 0 else 1)
+
+    @pytest.mark.parametrize("twin, refits", [(False, 1), (True, 3)])
+    def test_earlier_factorizations_released_before_each_refit(self, monkeypatch, twin, refits):
+        # Without the twin every step certifies and only the final model is
+        # refitted; an exact twin of x1 makes every compressed step rank
+        # deficient, so each step refits.
+        rng = np.random.default_rng(409)
+        x = np.column_stack([np.ones(60), rng.normal(size=(60, 4))])
+        if twin:
+            x = np.column_stack([x, x[:, 1]])
+        y = 1.0 + 3.0 * x[:, 1] + rng.normal(size=60)
+        earlier_q: list[weakref.ref] = []
+        released: list[bool] = []
+
+        def tracking_fit(*args, **kwargs):
+            released.append(all(ref() is None for ref in earlier_q))
+            fit = fit_ols(*args, **kwargs)
+            earlier_q.append(weakref.ref(fit.factors.q))
+            return fit
+
+        monkeypatch.setattr(selection, "fit_ols", tracking_fit)
+        trace = backward_eliminate(dataset_from_arrays(x, y), 0.01)
+        assert len(trace.steps) == 3
+        assert released == [True] * (1 + refits)
 
 
 def compressed_state(data, keep, alpha):
