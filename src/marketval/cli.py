@@ -4,13 +4,25 @@ Exit codes: 0 success; 2 empty or degenerate input (also synth with n too
 small); 3 schema, parse or encoding error; 4 no conforming model from backward
 elimination.  Every command is a pure function of its inputs and flags, so
 repeated runs write byte-identical files.
+
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is
+set.  The factorizations here are small, so a second thread slows them down,
+and the thread count changes the last digits of a tall factorization: with
+one thread, reruns are byte-identical on any number of cores.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
+
+# OpenBLAS reads its thread count when numpy or scipy first loads it, so this
+# precedes every import that loads numpy.  OPENBLAS_NUM_THREADS overrides
+# OMP_NUM_THREADS, so it is set only when the user set neither.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import diagnostics as diag
 from . import report
@@ -145,8 +157,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     exit_code = EXIT_OK
     if args.select:
         trace = backward_eliminate(dataset, args.alpha, confidence_level=args.confidence)
-        fit = trace.final_fit
-        model_data = _dataset_for_fit(dataset, fit)
+        fit, model_data = trace.final_fit, trace.final_data
         if not trace.conforming:
             exit_code = EXIT_NO_CONFORMING_MODEL
     else:
@@ -171,13 +182,6 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     _write(out_dir / "residuals.csv", residuals_csv)
     _write(out_dir / "measured_predicted.csv", mp_csv)
     return exit_code
-
-
-def _dataset_for_fit(dataset: EncodedDataset, fit: FitResult) -> EncodedDataset:
-    """Restrict a dataset to the columns a (post-elimination) fit used."""
-    wanted = set(fit.column_names)
-    keep = [j for j, name in enumerate(dataset.column_names) if name in wanted]
-    return dataset.select_columns(keep)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

@@ -16,7 +16,7 @@ final model is always such a refit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,13 +55,15 @@ class EliminationTrace:
 
     `conforming` is False when the loop hit the single-retained-column floor
     with that column's p-value still above alpha (no conforming model exists on
-    this path).
+    this path).  `final_data` is the dataset `final_fit` was fitted on: the
+    input's retained columns, or the input itself when nothing was removed.
     """
 
     alpha: float
     steps: tuple[EliminationStep, ...]
     final_fit: FitResult
     conforming: bool
+    final_data: EncodedDataset = field(compare=False, repr=False)
 
 
 # Worst retained column of a model: position among its columns, name, p-value.
@@ -170,6 +172,7 @@ def backward_eliminate(
         raise InferenceUnavailableError(
             "initial fit has no residual degrees of freedom; cannot rank p-values"
         )
+    fit_data: EncodedDataset | None = data
     compressed = _Compressed.from_factors(fit.factors, data.response)
     keep = list(range(data.design.cols))
     worst = _worst_retained(fit)
@@ -182,10 +185,12 @@ def backward_eliminate(
             break
         pos, name, p = worst
         del keep[pos]
-        fit = None  # its n x p Q must not stay alive beside the next fit's own
+        # Neither its n x p Q nor its design may stay alive beside the next fit's.
+        fit = fit_data = None
         state = _compressed_state(data, keep, compressed, alpha)
         if state is None:
-            fit = fit_ols(data.select_columns(keep), confidence_level)
+            fit_data = data.select_columns(keep)
+            fit = fit_ols(fit_data, confidence_level)
             worst = _worst_retained(fit)
             summary = ModelSummary(fit.k_params, fit.r_squared, fit.adj_r_squared)
         else:
@@ -193,5 +198,7 @@ def backward_eliminate(
         k_params = summary.k_params
         steps.append(EliminationStep(removed_column=name, removed_p_value=p, model_after=summary))
     if fit is None:
-        fit = fit_ols(data.select_columns(keep), confidence_level)
-    return EliminationTrace(alpha=alpha, steps=tuple(steps), final_fit=fit, conforming=conforming)
+        fit_data = data.select_columns(keep)
+        fit = fit_ols(fit_data, confidence_level)
+    return EliminationTrace(alpha=alpha, steps=tuple(steps), final_fit=fit,
+                            conforming=conforming, final_data=fit_data)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -47,3 +48,19 @@ def dataset_from_arrays(design, response, names=None, bias=True) -> EncodedDatas
         standardization_params=(),
         dropped_levels={},
     )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def child_env(**threads: str) -> dict[str, str]:
+    """This environment without either BLAS thread variable, plus `threads`.
+
+    Importing `marketval.cli` sets OPENBLAS_NUM_THREADS in the importing
+    process, so the test process's own environment cannot be passed on as is.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.update(threads)
+    return env

@@ -192,7 +192,7 @@ def backward_eliminate_by_refits(
                 name, worst_p, ModelSummary(fit.k_params, fit.r_squared, fit.adj_r_squared)
             )
         )
-    return EliminationTrace(alpha, tuple(steps), fit, conforming)
+    return EliminationTrace(alpha, tuple(steps), fit, conforming, current)
 
 
 def gaussian_density_log_product(resid: np.ndarray) -> float:

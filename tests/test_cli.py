@@ -1,7 +1,11 @@
 """End-to-end command-line behavior: files written, exit codes, determinism."""
 from __future__ import annotations
 
+import ctypes
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,8 +21,10 @@ from marketval.cli import (
     EXIT_SCHEMA,
     main,
 )
+from marketval.features import EncodedDataset
 from marketval.ingest import parse_players_csv
 from marketval.synth import generate_players, records_to_csv
+from conftest import child_env
 
 SEED_ARGS = ["--seed", "42", "--n", "105"]
 
@@ -269,6 +275,23 @@ class TestDiagnoseFactorizations:
         assert code == EXIT_OK
         assert diagnose_calls == select_calls
 
+    def test_select_rebuilds_no_dataset(self, tmp_path, synth_csv, monkeypatch):
+        # diagnose --select reuses the dataset elimination's final fit was fitted on.
+        calls = []
+        original = EncodedDataset.select_columns
+
+        def counting(self, keep):
+            calls.append(len(keep))
+            return original(self, keep)
+
+        monkeypatch.setattr(EncodedDataset, "select_columns", counting)
+        common = ["--input", str(synth_csv), "--alpha", "0.1"]
+        assert main(["select", *common, "--out", str(tmp_path / "s")]) == EXIT_OK
+        select_calls = list(calls)
+        calls.clear()
+        assert main(["diagnose", "--select", *common, "--out", str(tmp_path / "d")]) == EXIT_OK
+        assert select_calls and calls == select_calls
+
 
 class TestOverflowingResponse:
     @pytest.mark.parametrize("command", ["fit", "select", "diagnose"])
@@ -333,3 +356,78 @@ class TestArbitraryInput:
         rows[row][column] = value
         content = "\n".join(",".join(r) for r in rows) + "\n"
         assert self.run(command, content.encode("utf-8")) in self.EXIT_CODES
+
+
+def bundled_openblas() -> list[tuple[str, str]]:
+    """(library path, thread-count getter) of numpy's and scipy's own OpenBLAS."""
+    import numpy
+
+    site = Path(numpy.__file__).resolve().parents[1]
+    found = []
+    for pattern, getter in (("numpy.libs/libscipy_openblas64_*.so", "scipy_openblas_get_num_threads64_"),
+                            ("scipy.libs/libscipy_openblas-*.so", "scipy_openblas_get_num_threads")):
+        paths = sorted(site.glob(pattern))
+        if len(paths) != 1 or not hasattr(ctypes.CDLL(str(paths[0])), getter):
+            pytest.skip(f"no single bundled OpenBLAS exporting {getter} at {site / pattern}")
+        found.append((str(paths[0]), getter))
+    return found
+
+
+# Imports `module` and prints the BLAS variable it leaves set and the thread
+# count each bundled OpenBLAS runs with.
+PROBE = """
+import ctypes, json, os, sys
+import {module}
+import scipy.linalg
+counts = []
+for path, getter in json.loads(sys.argv[1]):
+    fn = getattr(ctypes.CDLL(path), getter)
+    fn.argtypes, fn.restype = [], ctypes.c_int
+    counts.append(fn())
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), counts]))
+"""
+
+
+class TestBlasThreads:
+    """The CLI runs BLAS on one thread unless the user chose a count."""
+
+    @staticmethod
+    def probe(module: str, **threads: str):
+        proc = subprocess.run(
+            [sys.executable, "-c", PROBE.format(module=module), json.dumps(bundled_openblas())],
+            env=child_env(**threads), capture_output=True, text=True, timeout=120, check=True)
+        return tuple(json.loads(proc.stdout))
+
+    @staticmethod
+    def two_cores():
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("OpenBLAS caps its thread count at the core count; one core here")
+
+    def test_cli_defaults_to_one_thread(self):
+        assert self.probe("marketval.cli") == ("1", [1, 1])
+
+    def test_openblas_variable_wins(self):
+        self.two_cores()
+        assert self.probe("marketval.cli", OPENBLAS_NUM_THREADS="2") == ("2", [2, 2])
+
+    def test_omp_variable_wins(self):
+        self.two_cores()
+        assert self.probe("marketval.cli", OMP_NUM_THREADS="2") == (None, [2, 2])
+
+    def test_library_import_sets_nothing(self):
+        assert self.probe("marketval.numcore")[0] is None
+
+    def test_fit_bytes_do_not_depend_on_the_core_count(self, tmp_path):
+        # Criterion 09 across hosts: a tall QR's last digits depend on the
+        # thread count, and the default run must match a one-thread run.
+        assert main(["synth", "--seed", "1", "--n", "10000", "--out", str(tmp_path)]) == EXIT_OK
+        outputs = []
+        for name, threads in (("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            out = tmp_path / name
+            subprocess.run(
+                [sys.executable, "-m", "marketval.cli", "fit", "--input",
+                 str(tmp_path / "synth.csv"), "--out", str(out)],
+                env=child_env(**threads), capture_output=True, timeout=300, check=True)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert set(outputs[0]) == {"summary.txt", "fit.json"}
+        assert outputs[0] == outputs[1]

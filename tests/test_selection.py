@@ -77,6 +77,7 @@ class TestBackwardEliminate:
         assert trace.steps == ()
         assert trace.conforming
         assert trace.final_fit.column_names == data.column_names
+        assert trace.final_data is data
 
     def test_vacuous_alpha_zero_steps(self):
         rng = np.random.default_rng(401)
@@ -96,6 +97,8 @@ class TestBackwardEliminate:
         assert trace.steps[0].removed_p_value > 0.05
         assert trace.final_fit.column_names == ("const", "x1")
         assert trace.conforming
+        assert trace.final_data.column_names == ("const", "x1")
+        assert np.array_equal(trace.final_data.design.array(), data.design.array()[:, :2])
 
     def test_bias_column_eligible_for_removal(self):
         # True intercept is zero: const goes, the real slope stays.
