@@ -112,12 +112,12 @@ def _filter_config(args: argparse.Namespace) -> FilterConfig:
 def _load_dataset(args: argparse.Namespace) -> EncodedDataset:
     data = Path(args.input).read_bytes()
     records = parse_players_csv(data)
-    result = apply_filters(list(records), _filter_config(args))
+    result = apply_filters(records, _filter_config(args))
     if len(result.accepted) < 2:
         raise EmptyDatasetError(
             f"{len(result.accepted)} record(s) survived filtering; need at least 2"
         )
-    return encode_dataset(list(result.accepted))
+    return encode_dataset(result.accepted)
 
 
 def _write(path: Path, content: str) -> None:

@@ -9,7 +9,9 @@ raw market value in millions of euros.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Mapping
 
 import numpy as np
@@ -24,7 +26,20 @@ KIND_CONTINUOUS = "continuous"
 BIAS_COLUMN_NAME = "const"
 
 
-@dataclass(frozen=True)
+# The count fields of `PlayerRecord`, each of which must be >= 0.
+_COUNT_FIELDS = (
+    "matches_played",
+    "goals",
+    "assists",
+    "yellow_cards",
+    "second_yellow_cards",
+    "red_cards",
+    "minutes_played",
+)
+_counts = attrgetter(*_COUNT_FIELDS)
+
+
+@dataclass(frozen=True, slots=True)
 class PlayerRecord:
     """One season line for one player.
 
@@ -52,22 +67,15 @@ class PlayerRecord:
     mid_season_transfer: bool
 
     def __post_init__(self) -> None:
-        for attr in (
-            "matches_played",
-            "goals",
-            "assists",
-            "yellow_cards",
-            "second_yellow_cards",
-            "red_cards",
-            "minutes_played",
-        ):
-            if getattr(self, attr) < 0:
-                raise InvalidInputError(f"{attr} must be >= 0")
+        counts = _counts(self)
+        if min(counts) < 0:
+            attr = next(a for a, v in zip(_COUNT_FIELDS, counts) if v < 0)
+            raise InvalidInputError(f"{attr} must be >= 0")
         if self.age < 15:
             raise InvalidInputError("age must be >= 15")
         if not 140 <= self.height_cm <= 220:
             raise InvalidInputError("height_cm must be within [140, 220]")
-        if not (np.isfinite(self.market_value_m_eur) and self.market_value_m_eur > 0):
+        if not (math.isfinite(self.market_value_m_eur) and self.market_value_m_eur > 0):
             raise InvalidInputError("market_value_m_eur must be finite and > 0")
         if self.foot not in ("left", "right", "both"):
             raise InvalidInputError("foot must be one of left, right, both")
@@ -128,13 +136,13 @@ class StandardizationParams:
 
 # Categorical attributes in design-matrix order, with their level extractors.
 CATEGORICAL_ATTRIBUTES: tuple[tuple[str, Callable[[PlayerRecord], object]], ...] = (
-    ("league", lambda r: r.league),
-    ("club", lambda r: r.club),
+    ("league", attrgetter("league")),
+    ("club", attrgetter("club")),
     ("age_group", lambda r: age_group(r.age)),
     ("height_group", lambda r: height_group(r.height_cm)),
-    ("foot", lambda r: r.foot),
-    ("nationality", lambda r: r.nationality),
-    ("outfitter", lambda r: r.outfitter),
+    ("foot", attrgetter("foot")),
+    ("nationality", attrgetter("nationality")),
+    ("outfitter", attrgetter("outfitter")),
     ("match_group", lambda r: match_group(r.matches_played)),
 )
 
@@ -167,12 +175,13 @@ class EncodedDataset:
         bias_positions = [i for i, c in enumerate(self.columns) if c.kind == KIND_BIAS]
         if len(bias_positions) > 1 or (bias_positions and bias_positions[0] != 0):
             raise InvalidInputError("at most one bias column, and it must come first")
-        a = self.design.array()
-        for i, c in enumerate(self.columns):
-            if c.kind == KIND_ENCODED:
-                col = a[:, i]
-                if not np.all((col == 0.0) | (col == 1.0)):
-                    raise InvalidInputError(f"encoded column {c.name!r} must be 0/1")
+        encoded = [i for i, c in enumerate(self.columns) if c.kind == KIND_ENCODED]
+        if encoded:
+            a = self.design.array()
+            indicator = ((a == 0.0) | (a == 1.0)).all(axis=0)[encoded]
+            if not indicator.all():
+                bad = self.columns[encoded[int(np.argmin(indicator))]]
+                raise InvalidInputError(f"encoded column {bad.name!r} must be 0/1")
         object.__setattr__(self, "response", _read_only(self.response))
 
     @property
@@ -214,7 +223,9 @@ def encode_dataset(records: list[PlayerRecord]) -> EncodedDataset:
 
     Column order: bias, then one-hot columns attribute by attribute in
     `CATEGORICAL_ATTRIBUTES` order (levels sorted, first level dropped),
-    then the standardized continuous columns.
+    then the standardized continuous columns.  Each attribute is read off
+    the records once; its values map to design columns through a dict, and
+    the ones are written into one preallocated design by fancy indexing.
 
     Parameters
     ----------
@@ -224,38 +235,53 @@ def encode_dataset(records: list[PlayerRecord]) -> EncodedDataset:
     Returns
     -------
     EncodedDataset
+
+    Raises
+    ------
+    OutOfRangeError
+        For the first attribute in `CATEGORICAL_ATTRIBUTES` order with a
+        value outside its bands (an age below 20 or a height below 160).
     """
     if len(records) < 2:
         raise InvalidInputError("encoding needs at least 2 records")
     n = len(records)
-    columns: list[np.ndarray] = [np.ones(n)]
     metas: list[ColumnMeta] = [ColumnMeta(BIAS_COLUMN_NAME, KIND_BIAS, "bias")]
     dropped: dict[str, str] = {}
+    codes: list[np.ndarray] = []
 
     for attr, extract in CATEGORICAL_ATTRIBUTES:
-        values = [extract(r) for r in records]
+        values = list(map(extract, records))
         levels = sorted(set(values))
         dropped[attr] = str(levels[0])
+        # The dropped level maps to the bias column, which is all ones anyway.
+        column_of = {levels[0]: 0}
         for level in levels[1:]:
-            columns.append(np.array([1.0 if v == level else 0.0 for v in values]))
+            column_of[level] = len(metas)
             metas.append(ColumnMeta(f"{attr}={level}", KIND_ENCODED, attr, str(level)))
+        codes.append(np.fromiter(map(column_of.__getitem__, values), dtype=np.intp, count=n))
+
+    design = np.zeros((n, len(metas) + len(CONTINUOUS_ATTRIBUTES)))
+    design[:, 0] = 1.0
+    rows = np.arange(n)
+    for c in codes:
+        design[rows, c] = 1.0
 
     std_params: list[StandardizationParams] = []
     for attr, extract in CONTINUOUS_ATTRIBUTES:
-        v = np.array([extract(r) for r in records], dtype=float)
+        v = np.fromiter(map(extract, records), dtype=float, count=n)
         mean = float(v.mean())
         std = float(v.std(ddof=1))
         if std == 0.0:
-            columns.append(v - mean)  # all zeros; kept for auditability
+            design[:, len(metas)] = v - mean  # all zeros; kept for auditability
             std_params.append(StandardizationParams(attr, mean, 0.0, True))
         else:
-            columns.append((v - mean) / std)
+            design[:, len(metas)] = (v - mean) / std
             std_params.append(StandardizationParams(attr, mean, std, False))
         metas.append(ColumnMeta(attr, KIND_CONTINUOUS, attr))
 
-    response = np.array([r.market_value_m_eur for r in records], dtype=float)
+    response = np.fromiter(map(attrgetter("market_value_m_eur"), records), dtype=float, count=n)
     return EncodedDataset(
-        design=Matrix(np.column_stack(columns)),
+        design=Matrix(design),
         columns=tuple(metas),
         response=response,
         standardization_params=tuple(std_params),

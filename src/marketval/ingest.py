@@ -101,6 +101,10 @@ def _parse_int(cell: str, row: int, column: str) -> int:
 
 def _parse_float(cell: str, row: int, column: str) -> float:
     text = cell.strip()
+    # float() alone also accepts non-ASCII digits and "_" separators, which
+    # integer cells reject.
+    if not text.isascii() or "_" in text:
+        raise RowParseError(row, column, f"expected a number, got {cell!r}")
     try:
         value = float(text)
     except ValueError:
@@ -117,25 +121,12 @@ def _parse_flag(cell: str, row: int, column: str) -> bool:
     raise RowParseError(row, column, f"expected 0 or 1, got {cell!r}")
 
 
-def _csv_rows(text: str) -> Iterator[list[str]]:
-    """The rows of a CSV text; a row the reader rejects raises `RowParseError`."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise RowParseError(reader.line_num, "row", str(exc)) from None
+def _csv_rows(data: bytes) -> Iterator[tuple[int, list[str]]]:
+    """The data rows of a player CSV, each with the file line it starts on.
 
-
-def parse_players_csv(data: bytes) -> list[PlayerRecord]:
-    """Parse a UTF-8 player CSV into records.
-
-    The header must match `CSV_HEADER` exactly.  Numeric cells are parsed
-    strictly; category cells are whitespace-trimmed with case preserved.
-    Row numbers in errors are 1-based file lines (header = row 1).
-    An empty file yields an empty list.  One leading UTF-8 byte-order mark
-    is skipped.  Bytes that are not UTF-8 raise `EncodingError` with the
-    offset of the first bad byte; a row the CSV reader rejects (such as a
-    cell over its 131 072-character field limit) raises `RowParseError`.
+    Decodes the bytes, skips one leading byte-order mark and checks the
+    header.  Blank lines come through as empty rows.  A row the CSV reader
+    rejects raises `RowParseError`.
     """
     try:
         text = data.decode("utf-8")
@@ -146,44 +137,81 @@ def parse_players_csv(data: bytes) -> list[PlayerRecord]:
         ) from None
     text = text.removeprefix("\ufeff")
     if text.strip() == "":
-        return []
-    rows = _csv_rows(text)
-    header = [h.strip() for h in next(rows)]
-    if header != list(CSV_HEADER):
-        missing = [c for c in CSV_HEADER if c not in header]
-        extra = [c for c in header if c not in CSV_HEADER]
-        if missing:
-            raise SchemaError(f"missing column(s): {', '.join(missing)}")
-        if extra:
-            raise SchemaError(f"unexpected column(s): {', '.join(extra)}")
-        raise SchemaError("header columns are out of order")
+        return
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = [h.strip() for h in next(reader)]
+        if header != list(CSV_HEADER):
+            missing = [c for c in CSV_HEADER if c not in header]
+            extra = [c for c in header if c not in CSV_HEADER]
+            if missing:
+                raise SchemaError(f"missing column(s): {', '.join(missing)}")
+            if extra:
+                raise SchemaError(f"unexpected column(s): {', '.join(extra)}")
+            raise SchemaError("header columns are out of order")
+        # A quoted cell may span lines, so a row starts one line after the
+        # reader's count at the end of the previous row.
+        line = reader.line_num + 1
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise RowParseError(reader.line_num, "row", str(exc)) from None
 
+
+def _int_cell(cell: str, row: int, column: str) -> int:
+    """`_parse_int`, with plain cells of at most 18 ASCII digits sent straight to int()."""
+    if len(cell) <= MAX_INT_DIGITS and cell.isdigit() and cell.isascii():
+        return int(cell)
+    return _parse_int(cell, row, column)
+
+
+def parse_players_csv(data: bytes) -> list[PlayerRecord]:
+    """Parse a UTF-8 player CSV into records.
+
+    The header must match `CSV_HEADER` exactly.  Numeric cells are parsed
+    strictly: integer cells take at most 18 ASCII digits after leading
+    zeros, and float cells only ASCII and no "_".  Category cells are
+    whitespace-trimmed with case preserved.  Row numbers in errors are the
+    1-based file line a row starts on (header = row 1), counting the lines
+    inside quoted cells.  An empty file yields an empty list.  One leading
+    UTF-8 byte-order mark is skipped.  Bytes that are not UTF-8 raise
+    `EncodingError` with the offset of the first bad byte; a row the CSV
+    reader rejects (such as a cell over its 131 072-character field limit)
+    raises `RowParseError`.
+
+    Rows are parsed in file order, so the first bad row is the one
+    reported.  Each row is unpacked by position; an integer cell of plain
+    ASCII digits goes straight to `int()`, any other through the full check.
+    """
     records: list[PlayerRecord] = []
-    for line, row in enumerate(rows, start=2):
+    for line, row in _csv_rows(data):
         if not row:
             continue  # tolerate blank lines
         if len(row) != len(CSV_HEADER):
             raise RowParseError(line, "row", f"expected {len(CSV_HEADER)} cells, got {len(row)}")
-        cell = dict(zip(CSV_HEADER, row))
+        (name, league, club, age, height_cm, foot, nationality, outfitter, matches_played,
+         goals, assists, yellow_cards, second_yellow_cards, red_cards, minutes_played,
+         market_value_m_eur, mid_season_transfer) = row
         try:
             record = PlayerRecord(
-                name=cell["name"].strip(),
-                league=cell["league"].strip(),
-                club=cell["club"].strip(),
-                age=_parse_int(cell["age"], line, "age"),
-                height_cm=_parse_int(cell["height_cm"], line, "height_cm"),
-                foot=cell["foot"].strip(),
-                nationality=cell["nationality"].strip(),
-                outfitter=cell["outfitter"].strip(),
-                matches_played=_parse_int(cell["matches_played"], line, "matches_played"),
-                goals=_parse_int(cell["goals"], line, "goals"),
-                assists=_parse_int(cell["assists"], line, "assists"),
-                yellow_cards=_parse_int(cell["yellow_cards"], line, "yellow_cards"),
-                second_yellow_cards=_parse_int(cell["second_yellow_cards"], line, "second_yellow_cards"),
-                red_cards=_parse_int(cell["red_cards"], line, "red_cards"),
-                minutes_played=_parse_int(cell["minutes_played"], line, "minutes_played"),
-                market_value_m_eur=_parse_float(cell["market_value_m_eur"], line, "market_value_m_eur"),
-                mid_season_transfer=_parse_flag(cell["mid_season_transfer"], line, "mid_season_transfer"),
+                name.strip(),
+                league.strip(),
+                club.strip(),
+                _int_cell(age, line, "age"),
+                _int_cell(height_cm, line, "height_cm"),
+                foot.strip(),
+                nationality.strip(),
+                outfitter.strip(),
+                _int_cell(matches_played, line, "matches_played"),
+                _int_cell(goals, line, "goals"),
+                _int_cell(assists, line, "assists"),
+                _int_cell(yellow_cards, line, "yellow_cards"),
+                _int_cell(second_yellow_cards, line, "second_yellow_cards"),
+                _int_cell(red_cards, line, "red_cards"),
+                _int_cell(minutes_played, line, "minutes_played"),
+                _parse_float(market_value_m_eur, line, "market_value_m_eur"),
+                _parse_flag(mid_season_transfer, line, "mid_season_transfer"),
             )
         except InvalidInputError as exc:
             raise RowParseError(line, "record", str(exc)) from exc

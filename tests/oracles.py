@@ -3,7 +3,9 @@
 Everything here deliberately takes a different computational route from the
 package: Gram-Schmidt instead of Householder reflections, explicit normal
 equations and matrix inverses instead of triangular solves, numerical
-quadrature instead of series/continued fractions.  Values asserted in the
+quadrature instead of series/continued fractions, a dict per CSV row and a
+list comprehension per dummy level instead of the package's fast paths.
+Values asserted in the
 test modules were computed with these oracles (or by hand) and then frozen.
 """
 from __future__ import annotations
@@ -23,7 +25,23 @@ from marketval.diagnostics import (
     _band,
 )
 from marketval.distributions import chi2_sf
-from marketval.features import KIND_BIAS, EncodedDataset
+from marketval.errors import InvalidInputError, RowParseError
+from marketval.features import (
+    BIAS_COLUMN_NAME,
+    KIND_BIAS,
+    KIND_CONTINUOUS,
+    KIND_ENCODED,
+    ColumnMeta,
+    EncodedDataset,
+    PlayerRecord,
+    StandardizationParams,
+    age_group,
+    card_score,
+    goal_contribution,
+    height_group,
+    match_group,
+)
+from marketval.ingest import CSV_HEADER, _csv_rows, _parse_flag, _parse_float, _parse_int
 from marketval.ols import FitResult, fit_ols
 from marketval.selection import EliminationStep, EliminationTrace, ModelSummary
 
@@ -193,6 +211,105 @@ def backward_eliminate_by_refits(
             )
         )
     return EliminationTrace(alpha, tuple(steps), fit, conforming, current)
+
+
+def parse_players_csv_by_rows(data: bytes) -> list[PlayerRecord]:
+    """The data rows of a player CSV, parsed cell by cell.
+
+    Each row becomes a dict keyed by column, every integer cell goes through
+    `_parse_int`, and each record is built from keyword arguments.  Decoding,
+    the header check and the row numbering are the package's own.
+    """
+    records = []
+    for line, row in _csv_rows(data):
+        if not row:
+            continue
+        if len(row) != len(CSV_HEADER):
+            raise RowParseError(line, "row", f"expected {len(CSV_HEADER)} cells, got {len(row)}")
+        cell = dict(zip(CSV_HEADER, row))
+        try:
+            record = PlayerRecord(
+                name=cell["name"].strip(),
+                league=cell["league"].strip(),
+                club=cell["club"].strip(),
+                age=_parse_int(cell["age"], line, "age"),
+                height_cm=_parse_int(cell["height_cm"], line, "height_cm"),
+                foot=cell["foot"].strip(),
+                nationality=cell["nationality"].strip(),
+                outfitter=cell["outfitter"].strip(),
+                matches_played=_parse_int(cell["matches_played"], line, "matches_played"),
+                goals=_parse_int(cell["goals"], line, "goals"),
+                assists=_parse_int(cell["assists"], line, "assists"),
+                yellow_cards=_parse_int(cell["yellow_cards"], line, "yellow_cards"),
+                second_yellow_cards=_parse_int(
+                    cell["second_yellow_cards"], line, "second_yellow_cards"
+                ),
+                red_cards=_parse_int(cell["red_cards"], line, "red_cards"),
+                minutes_played=_parse_int(cell["minutes_played"], line, "minutes_played"),
+                market_value_m_eur=_parse_float(
+                    cell["market_value_m_eur"], line, "market_value_m_eur"
+                ),
+                mid_season_transfer=_parse_flag(
+                    cell["mid_season_transfer"], line, "mid_season_transfer"
+                ),
+            )
+        except InvalidInputError as exc:
+            raise RowParseError(line, "record", str(exc)) from exc
+        records.append(record)
+    return records
+
+
+def encode_dataset_by_levels(records: list[PlayerRecord]) -> EncodedDataset:
+    """The design built one indicator column per level.
+
+    Every level's column is a list comprehension of ``v == level`` over all
+    records, and the columns are stacked at the end.
+    """
+    if len(records) < 2:
+        raise InvalidInputError("encoding needs at least 2 records")
+    categorical = (
+        ("league", lambda r: r.league),
+        ("club", lambda r: r.club),
+        ("age_group", lambda r: age_group(r.age)),
+        ("height_group", lambda r: height_group(r.height_cm)),
+        ("foot", lambda r: r.foot),
+        ("nationality", lambda r: r.nationality),
+        ("outfitter", lambda r: r.outfitter),
+        ("match_group", lambda r: match_group(r.matches_played)),
+    )
+    continuous = (
+        ("goal_contribution", lambda r: goal_contribution(r.goals, r.assists)),
+        ("card_score", lambda r: float(card_score(r.yellow_cards, r.second_yellow_cards, r.red_cards))),
+    )
+    columns = [np.ones(len(records))]
+    metas = [ColumnMeta(BIAS_COLUMN_NAME, KIND_BIAS, "bias")]
+    dropped = {}
+    for attr, extract in categorical:
+        values = [extract(r) for r in records]
+        levels = sorted(set(values))
+        dropped[attr] = str(levels[0])
+        for level in levels[1:]:
+            columns.append(np.array([1.0 if v == level else 0.0 for v in values]))
+            metas.append(ColumnMeta(f"{attr}={level}", KIND_ENCODED, attr, str(level)))
+    std_params = []
+    for attr, extract in continuous:
+        v = np.array([extract(r) for r in records], dtype=float)
+        mean = float(v.mean())
+        std = float(v.std(ddof=1))
+        if std == 0.0:
+            columns.append(v - mean)
+            std_params.append(StandardizationParams(attr, mean, 0.0, True))
+        else:
+            columns.append((v - mean) / std)
+            std_params.append(StandardizationParams(attr, mean, std, False))
+        metas.append(ColumnMeta(attr, KIND_CONTINUOUS, attr))
+    return EncodedDataset(
+        design=numcore.Matrix(np.column_stack(columns)),
+        columns=tuple(metas),
+        response=np.array([r.market_value_m_eur for r in records], dtype=float),
+        standardization_params=tuple(std_params),
+        dropped_levels=dropped,
+    )
 
 
 def gaussian_density_log_product(resid: np.ndarray) -> float:

@@ -135,6 +135,17 @@ class TestFitCommand:
         assert "row 2, column 'age'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_ascii_float_exit_code(self, tmp_path, synth_csv, capsys):
+        lines = synth_csv.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[15] = "٩٠.5"  # market_value_m_eur in Arabic-Indic digits
+        bad = tmp_path / "bad.csv"
+        bad.write_text(lines[0] + ",".join(cells), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["fit", "--input", str(bad), "--out", str(out)]) == EXIT_SCHEMA
+        assert "row 2, column 'market_value_m_eur'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_utf8_input_exit_code(self, tmp_path, synth_csv, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"\xff\xfe" + synth_csv.read_bytes())

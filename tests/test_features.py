@@ -3,15 +3,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketval.errors import InvalidInputError, OutOfRangeError
+from marketval.errors import InvalidInputError, MarketvalError, OutOfRangeError
 from marketval.features import (
     BIAS_COLUMN_NAME,
     KIND_BIAS,
     KIND_CONTINUOUS,
     KIND_ENCODED,
+    EncodedDataset,
     PlayerRecord,
     age_group,
     card_score,
@@ -20,6 +21,8 @@ from marketval.features import (
     height_group,
     match_group,
 )
+from marketval.numcore import Matrix
+from oracles import encode_dataset_by_levels
 
 
 def make_record(**overrides) -> PlayerRecord:
@@ -105,6 +108,12 @@ class TestPlayerRecord:
         with pytest.raises(InvalidInputError):
             make_record(goals=-1)
 
+    def test_first_negative_count_named(self):
+        with pytest.raises(InvalidInputError, match="^assists must be >= 0$"):
+            make_record(assists=-1, red_cards=-2, minutes_played=-3)
+        with pytest.raises(InvalidInputError, match="^minutes_played must be >= 0$"):
+            make_record(minutes_played=-1)
+
     def test_bad_height_rejected(self):
         with pytest.raises(InvalidInputError):
             make_record(height_cm=139)
@@ -137,6 +146,20 @@ class TestEncodeDataset:
         assert data.columns[0].kind == KIND_BIAS
         assert np.array_equal(data.design.column(0), np.ones(2))
         assert data.has_bias
+
+    def test_bias_column_ones_where_no_level_is_dropped(self):
+        # The second record differs in every categorical attribute and sorts
+        # after the first, so none of its levels is a dropped one.
+        records = [
+            make_record(league="L1", club="C1", foot="left", nationality="N1",
+                        outfitter="O1", age=21, height_cm=165, matches_played=10),
+            make_record(league="L2", club="C2", foot="right", nationality="N2",
+                        outfitter="O2", age=29, height_cm=188, matches_played=38),
+        ]
+        a = encode_dataset(records).design.array()
+        assert a[:, 0].tolist() == [1.0, 1.0]
+        assert a[1, 1:9].tolist() == [1.0] * 8
+        assert a[0, 1:9].tolist() == [0.0] * 8
 
     def test_one_level_dropped_per_attribute(self):
         records = [
@@ -295,6 +318,19 @@ class TestEncodeDataset:
         assert sub.has_bias
         assert len(sub.standardization_params) == 1
 
+    def test_first_non_indicator_encoded_column_named(self):
+        data = encode_dataset([make_record(), make_record(club="Club B", foot="left")])
+        a = data.design.array().copy()
+        for j in (2, 1):
+            a[0, j] = 0.5  # columns 1 and 2 are club=Club B and foot=right
+            with pytest.raises(InvalidInputError) as exc_info:
+                EncodedDataset(Matrix(a), data.columns, data.response, ())
+            assert str(exc_info.value) == f"encoded column {data.columns[j].name!r} must be 0/1"
+        # A continuous column may hold any value.
+        a = data.design.array().copy()
+        a[0, -1] = 0.5
+        EncodedDataset(Matrix(a), data.columns, data.response, ())
+
     def test_select_columns_requires_increasing(self):
         records = [make_record(), make_record(club="Club B")]
         data = encode_dataset(records)
@@ -329,3 +365,65 @@ def test_property_dummy_counts_are_levels_minus_one(data):
         idx = [j for j, c in enumerate(encoded.columns) if c.source_attribute == attr]
         if idx:
             assert np.all(a[:, idx].sum(axis=1) <= 1.0)
+
+
+def _pool(values):
+    """Records draw from a pool of one to three of these values."""
+    return st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True)
+
+
+def _rarely(values):
+    """The values in one draw out of five, else nothing."""
+    return st.sampled_from([values, [], [], [], []])
+
+
+@st.composite
+def record_lists(draw):
+    """2-8 records with few levels per attribute, so that single-level
+    attributes and zero-variance continuous columns come up; ages below 20
+    and heights below 160 come up too."""
+    n = draw(st.integers(2, 8))
+    pools = {
+        "league": draw(_pool(["L1", "L2", "L3"])),
+        "club": draw(_pool(["C1", "C2", "C3", "C4"])),
+        "foot": draw(_pool(["left", "right", "both"])),
+        "nationality": draw(_pool(["Spain", "France", "Brazil"])),
+        "outfitter": draw(_pool(["Nike", "Puma"])),
+        "age": draw(_pool([20, 21, 24, 29, 33, 40])) + draw(_rarely([17])),
+        "height_cm": draw(_pool([160, 172, 188, 195])) + draw(_rarely([150])),
+        "matches_played": draw(_pool([0, 15, 16, 22, 38])),
+        "goals": draw(_pool([0, 3, 12])),
+        "assists": draw(_pool([0, 1, 5])),
+        "yellow_cards": draw(_pool([0, 2])),
+        "red_cards": draw(_pool([0, 1])),
+    }
+    return [
+        make_record(
+            name=f"P{i}",
+            market_value_m_eur=draw(st.sampled_from([20.0, 0.125, 93.5])),
+            **{field: draw(st.sampled_from(pool)) for field, pool in pools.items()},
+        )
+        for i in range(n)
+    ]
+
+
+@settings(max_examples=200)
+@given(record_lists())
+def test_property_encoder_matches_per_level_oracle(records):
+    def outcome(encode):
+        try:
+            data = encode(records)
+        except MarketvalError as exc:
+            return type(exc), str(exc)
+        a = data.design.array()
+        return (
+            a.shape,
+            a.tobytes(),
+            data.columns,
+            dict(data.dropped_levels),
+            [(p.column, p.mean.hex(), p.std.hex(), p.zero_variance)
+             for p in data.standardization_params],
+            data.response.tobytes(),
+        )
+
+    assert outcome(encode_dataset) == outcome(encode_dataset_by_levels)

@@ -2,10 +2,16 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketval.errors import EncodingError, InvalidInputError, RowParseError, SchemaError
+from marketval.errors import (
+    EncodingError,
+    InvalidInputError,
+    MarketvalError,
+    RowParseError,
+    SchemaError,
+)
 from marketval.ingest import (
     CSV_HEADER,
     MAX_INT_DIGITS,
@@ -17,7 +23,8 @@ from marketval.ingest import (
     apply_filters,
     parse_players_csv,
 )
-from marketval.synth import records_to_csv
+from marketval.synth import generate_players, records_to_csv
+from oracles import parse_players_csv_by_rows
 from test_features import make_record
 
 HEADER_LINE = ",".join(CSV_HEADER)
@@ -142,6 +149,17 @@ class TestParse:
             parse_players_csv(csv_bytes(ROW, ROW, bad))
         assert exc_info.value.row == 4
 
+    def test_row_number_after_quoted_newline(self):
+        named = ROW.replace("Kane", '"Ka\nne"')
+        bad = ROW.replace(",27,", ",x,")
+        assert parse_players_csv(csv_bytes(named))[0].name == "Ka\nne"
+        with pytest.raises(RowParseError) as exc_info:
+            parse_players_csv(csv_bytes(named, bad))
+        assert exc_info.value.row == 4  # the header, then two lines for "Ka\nne"
+        with pytest.raises(RowParseError) as exc_info:
+            parse_players_csv(csv_bytes(named.replace(",27,", ",x,")))
+        assert exc_info.value.row == 2  # a row's first line
+
     def test_wrong_cell_count(self):
         with pytest.raises(RowParseError) as exc_info:
             parse_players_csv(csv_bytes("a,b,c"))
@@ -158,6 +176,18 @@ class TestParse:
         with pytest.raises(RowParseError) as exc_info:
             parse_players_csv(csv_bytes(row))
         assert exc_info.value.column == "market_value_m_eur"
+
+    @pytest.mark.parametrize("value", ["\u0669\u0660.5", "\uff19\uff10", "9_0.5"])
+    def test_float_cells_take_ascii_only(self, value):
+        with pytest.raises(RowParseError) as exc_info:
+            parse_players_csv(csv_bytes(ROW.replace("90.000", value)))
+        assert exc_info.value.row == 2
+        assert exc_info.value.column == "market_value_m_eur"
+
+    @pytest.mark.parametrize("value, parsed", [("1e2", 100.0), (" 90 ", 90.0), ("+9.5", 9.5)])
+    def test_float_cells_accept_exponent_and_padding(self, value, parsed):
+        (record,) = parse_players_csv(csv_bytes(ROW.replace("90.000", value)))
+        assert record.market_value_m_eur == parsed
 
     def test_invalid_record_value_wrapped(self):
         row = ROW.replace("90.000", "-5.0")
@@ -288,3 +318,58 @@ def test_property_loosening_minutes_grows_accepted_set(records, threshold):
     strict_ids = {id(r) for r in strict.accepted}
     loose_ids = {id(r) for r in loose.accepted}
     assert strict_ids <= loose_ids
+
+
+# Rows of a small synthetic CSV, split into cells, for the parser parity test.
+SYNTH_ROWS = [
+    line.split(",")
+    for line in records_to_csv(generate_players(3, 20)[0]).splitlines()[1:]
+]
+
+cell_edit = st.tuples(
+    st.integers(0, len(CSV_HEADER) - 1),
+    # Prefix: whitespace, a sign, leading zeros up to and past 18 digits.
+    st.lists(st.sampled_from([" ", "\t", "+", "-", "0", "0" * 17, "0" * 25]), max_size=2).map("".join),
+    # Body: None keeps the cell; otherwise 19-digit values, non-ASCII digits,
+    # an empty cell and other replacements.
+    st.none() | st.sampled_from([
+        "", "1" * 19, "9" * 18, "²", "1¹", "٣٠", "７", "٩٠.5", "9_0", "1e2", "x", "0",
+    ]),
+    st.sampled_from(["", " ", "\t"]),
+)
+row_edit = st.sampled_from(["short", "long", "blank line before", "quoted newline in name"])
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.sampled_from(range(len(SYNTH_ROWS))), min_size=1, max_size=6),
+    st.lists(st.tuples(st.integers(0, 5), cell_edit), max_size=4),
+    st.lists(st.tuples(st.integers(0, 5), row_edit), max_size=1),
+    st.booleans(),
+)
+def test_property_parser_matches_row_by_row_oracle(picks, cell_edits, row_edits, bom):
+    rows = [list(SYNTH_ROWS[i]) for i in picks]
+    for r, (column, prefix, body, suffix) in cell_edits:
+        row = rows[r % len(rows)]
+        row[column] = prefix + (row[column] if body is None else body) + suffix
+    lines = [",".join(row) for row in rows]
+    for r, edit in row_edits:
+        i = r % len(lines)
+        cells = lines[i].split(",")
+        if edit == "short":
+            lines[i] = ",".join(cells[:-1])
+        elif edit == "long":
+            lines[i] = ",".join([*cells, "1"])
+        elif edit == "blank line before":
+            lines.insert(i, "")
+        else:
+            lines[i] = ",".join(['"Ka\nne"', *cells[1:]])
+    data = (b"\xef\xbb\xbf" if bom else b"") + csv_bytes(*lines)
+
+    def outcome(parse):
+        try:
+            return parse(data)
+        except MarketvalError as exc:
+            return type(exc), getattr(exc, "row", None), getattr(exc, "column", None), str(exc)
+
+    assert outcome(parse_players_csv) == outcome(parse_players_csv_by_rows)
