@@ -34,56 +34,7 @@ _ORIGIN = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BreuschPaganResult",
-    "ColumnMeta",
-    "CoefficientRow",
-    "CSV_HEADER",
-    "EliminationStep",
-    "EliminationTrace",
-    "EncodedDataset",
-    "ExclusionEntry",
-    "ExclusionLog",
-    "FilterConfig",
-    "FilterResult",
-    "FitResult",
-    "InformationCriteria",
-    "LeastSquaresSolution",
-    "Matrix",
-    "ModelSummary",
-    "PlayerRecord",
-    "PlotSeries",
-    "QrFactors",
-    "StandardizationParams",
-    "SynthTruth",
-    "VifEntry",
-    "VifReport",
-    "adjusted_r_squared",
-    "age_group",
-    "apply_filters",
-    "backward_eliminate",
-    "breusch_pagan",
-    "card_score",
-    "coefficient_table",
-    "encode_dataset",
-    "f_statistic",
-    "fit_ols",
-    "generate_players",
-    "goal_contribution",
-    "height_group",
-    "information_criteria",
-    "least_squares_solve",
-    "log_likelihood",
-    "mape",
-    "match_group",
-    "parse_players_csv",
-    "plot_series",
-    "qr_pivoted",
-    "records_to_csv",
-    "truth_to_dict",
-    "unscaled_covariance",
-    "vif",
-]
+__all__ = sorted(_ORIGIN)
 
 
 def __getattr__(name: str):

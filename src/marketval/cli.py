@@ -1,8 +1,8 @@
 """Command-line pipeline: ingest -> encode -> fit/select/diagnose, plus synth.
 
-Exit codes: 0 success; 2 empty or degenerate input (also synth with n too
-small); 3 schema, parse or encoding error; 4 no conforming model from backward
-elimination.  Every command is a pure function of its inputs and flags, so
+Exit codes: 0 success; 2 empty or degenerate input or an invalid argument
+(also synth with n too small or a negative seed); 3 schema, parse or encoding
+error; 4 no conforming model from backward elimination.  Every command is a pure function of its inputs and flags, so
 repeated runs write byte-identical files.
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is

@@ -176,6 +176,25 @@ def _gamma_cf(s: float, x: float) -> float:
     return h * math.exp(-x + s * math.log(x) - ln_gamma(s))
 
 
+def _reg_inc_gamma(s: float, x: float) -> tuple[float, float]:
+    """Regularized lower and upper incomplete gamma ``(P(s, x), Q(s, x))``.
+
+    Below the split at ``x = s + 1`` the series gives P, above it the
+    continued fraction gives Q, and the other is its complement, so the
+    smaller tail keeps full relative precision instead of cancelling
+    against 1.
+    """
+    if x == 0.0:
+        return 0.0, 1.0
+    if x < s + 1.0:
+        lower = _gamma_series(s, x)
+        upper = 1.0 - lower
+    else:
+        upper = _gamma_cf(s, x)
+        lower = 1.0 - upper
+    return min(1.0, max(0.0, lower)), min(1.0, max(0.0, upper))
+
+
 def reg_inc_gamma_lower(s: float, x: float) -> float:
     """Regularized lower incomplete gamma function P(s, x).
 
@@ -195,29 +214,7 @@ def reg_inc_gamma_lower(s: float, x: float) -> float:
         raise DomainError("reg_inc_gamma_lower requires s > 0")
     if not x >= 0.0:
         raise DomainError("reg_inc_gamma_lower requires x >= 0")
-    if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        value = _gamma_series(s, x)
-    else:
-        value = 1.0 - _gamma_cf(s, x)
-    return min(1.0, max(0.0, value))
-
-
-def _reg_inc_gamma_upper(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(s, x) = 1 - P(s, x).
-
-    Evaluated on whichever side of the series/continued-fraction split is
-    accurate, so tiny upper tails keep full relative precision instead of
-    cancelling against 1.
-    """
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        value = 1.0 - _gamma_series(s, x)
-    else:
-        value = _gamma_cf(s, x)
-    return min(1.0, max(0.0, value))
+    return _reg_inc_gamma(s, x)[0]
 
 
 def _check_df(df: int, name: str) -> int:
@@ -261,10 +258,9 @@ def chi2_sf(x: float, df: int) -> float:
     _check_df(df, "df")
     if not x >= 0.0:
         raise DomainError("chi-square statistic must be >= 0")
-    return _reg_inc_gamma_upper(df / 2.0, x / 2.0)
+    return _reg_inc_gamma(df / 2.0, x / 2.0)[1]
 
 
-@lru_cache(maxsize=1024)
 def student_t_quantile(q: float, df: int) -> float:
     """Quantile of the Student t distribution by numeric CDF inversion.
 

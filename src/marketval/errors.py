@@ -60,6 +60,3 @@ class InferenceUnavailableError(MarketvalError):
 class EmptyDatasetError(MarketvalError):
     """No records survived parsing and filtering."""
 
-
-class NoConformingModelError(MarketvalError):
-    """Backward elimination ran out of columns before every p-value dropped below alpha."""

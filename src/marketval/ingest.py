@@ -50,7 +50,7 @@ class FilterConfig:
             raise InvalidInputError("min_age must not exceed max_age")
         if self.min_minutes < 0:
             raise InvalidInputError("min_minutes must be >= 0")
-        if self.min_market_value_m_eur < 0:
+        if not self.min_market_value_m_eur >= 0:  # also rejects NaN
             raise InvalidInputError("min_market_value_m_eur must be >= 0")
 
 

@@ -1,11 +1,12 @@
 """Dense matrix plumbing and rank-revealing least squares.
 
-Every statistical module in the package funnels its linear algebra through
-this one: a validated immutable matrix type, a column-pivoted QR
-factorization with an explicit numerical-rank cut, and a least-squares
-solver that zeroes the coefficients of columns judged collinear instead of
-failing.  The factorization itself is delegated to LAPACK via scipy; the
-rank decision and the dropped-column bookkeeping live here.
+A validated immutable matrix type, a column-pivoted QR factorization with
+an explicit numerical-rank cut, and a least-squares solver that zeroes the
+coefficients of columns judged collinear instead of failing.  Every
+factorization the package makes is made here, though `diagnostics.vif`
+calls `scipy.linalg.solve_triangular` on the factors itself.  The
+factorization is delegated to LAPACK via scipy; the rank decision and the
+dropped-column bookkeeping live here.
 """
 from __future__ import annotations
 
@@ -48,11 +49,6 @@ class Matrix:
     def cols(self) -> int:
         return int(self._a.shape[1])
 
-    @property
-    def entries(self) -> np.ndarray:
-        """Row-major flat view of the entries (read-only)."""
-        return self._a.reshape(-1)
-
     def array(self) -> np.ndarray:
         """The underlying 2-d array (read-only view)."""
         return self._a
@@ -61,7 +57,7 @@ class Matrix:
         return self._a[:, j]
 
     def take_columns(self, indices) -> "Matrix":
-        return Matrix(self._a[:, list(indices)])
+        return Matrix(np.take(self._a, indices, axis=1))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Matrix({self.rows}x{self.cols})"

@@ -284,24 +284,14 @@ class CoefficientRow:
     ci_high: float
 
 
-def coefficient_table(fit: FitResult, level: float | None = None) -> list[CoefficientRow]:
+def coefficient_table(fit: FitResult) -> list[CoefficientRow]:
     """Per-coefficient inference rows for the retained columns.
 
-    Confidence bounds at the level stored on the fit (the default) are the
-    fit's own `ci_low`/`ci_high`.  Any other level recomputes them from the
-    Student-t quantile, found by numeric CDF inversion.  Dropped columns
-    carry no inference and are omitted.
+    Confidence bounds are the fit's own `ci_low`/`ci_high`, at the level
+    `fit_ols` stored.  Dropped columns carry no inference and are omitted.
     """
     if not fit.inference_available:
         raise InferenceUnavailableError("fit has no residual degrees of freedom")
-    if level is None or level == fit.confidence_level:
-        ci_low, ci_high = fit.ci_low, fit.ci_high
-    else:
-        if not 0.0 < level < 1.0:
-            raise InvalidInputError("level must be in (0, 1)")
-        tq = distributions.student_t_quantile((1.0 + level) / 2.0, fit.df_resid)
-        ci_low = fit.coefficients - tq * fit.std_errors
-        ci_high = fit.coefficients + tq * fit.std_errors
     dropped = set(fit.dropped_columns)
     rows: list[CoefficientRow] = []
     for j, name in enumerate(fit.column_names):
@@ -314,8 +304,8 @@ def coefficient_table(fit: FitResult, level: float | None = None) -> list[Coeffi
                 std_err=float(fit.std_errors[j]),
                 t=float(fit.t_values[j]),
                 p=float(fit.p_values[j]),
-                ci_low=float(ci_low[j]),
-                ci_high=float(ci_high[j]),
+                ci_low=float(fit.ci_low[j]),
+                ci_high=float(fit.ci_high[j]),
             )
         )
     return rows

@@ -12,6 +12,7 @@ always produces the identical dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping
 
 import numpy as np
@@ -111,6 +112,8 @@ def generate_players(seed: int, n: int) -> tuple[list[PlayerRecord], SynthTruth]
     """
     if n < 1:
         raise InvalidInputError("n must be >= 1")
+    if seed < 0:
+        raise InvalidInputError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     effects = _draw_level_effects(rng)
     intercept = 70.0 + float(rng.uniform(0.0, 10.0))
@@ -188,33 +191,19 @@ def generate_players(seed: int, n: int) -> tuple[list[PlayerRecord], SynthTruth]
     return records, truth
 
 
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return f"{value:.3f}"
+    return str(value)
+
+
 def records_to_csv(records: list[PlayerRecord]) -> str:
     """Render records as a schema-conformant CSV string."""
+    fields = attrgetter(*CSV_HEADER)
     lines = [",".join(CSV_HEADER)]
-    for r in records:
-        lines.append(
-            ",".join(
-                (
-                    r.name,
-                    r.league,
-                    r.club,
-                    str(r.age),
-                    str(r.height_cm),
-                    r.foot,
-                    r.nationality,
-                    r.outfitter,
-                    str(r.matches_played),
-                    str(r.goals),
-                    str(r.assists),
-                    str(r.yellow_cards),
-                    str(r.second_yellow_cards),
-                    str(r.red_cards),
-                    str(r.minutes_played),
-                    f"{r.market_value_m_eur:.3f}",
-                    "1" if r.mid_season_transfer else "0",
-                )
-            )
-        )
+    lines.extend(",".join(map(_csv_cell, fields(r))) for r in records)
     return "\n".join(lines) + "\n"
 
 

@@ -55,6 +55,12 @@ class TestSynthCommand:
         assert main(["synth", "--seed", "1", "--n", "10", "--out", str(out)]) == EXIT_EMPTY
         assert not (out / "synth.csv").exists()
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["synth", "--seed=-1", "--n", "105", "--out", str(out)]) == EXIT_EMPTY
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not (out / "synth.csv").exists()
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["synth", *SEED_ARGS, "--out", str(a)])
@@ -111,6 +117,13 @@ class TestFitCommand:
         code = main(["fit", "--input", str(synth_csv), "--out", str(out),
                      "--min-value", "1e9"])
         assert code == EXIT_EMPTY
+        assert not (out / "fit.json").exists()
+
+    def test_nan_value_floor_rejected(self, tmp_path, synth_csv, capsys):
+        out = tmp_path / "e"
+        code = main(["fit", "--input", str(synth_csv), "--out", str(out), "--min-value", "nan"])
+        assert code == EXIT_EMPTY
+        assert "min_market_value_m_eur must be >= 0" in capsys.readouterr().err
         assert not (out / "fit.json").exists()
 
     def test_missing_input_file(self, tmp_path):
@@ -355,6 +368,15 @@ class TestArbitraryInput:
     @given(command=COMMANDS, content=st.binary())
     def test_arbitrary_bytes(self, command, content):
         assert self.run(command, content) in self.EXIT_CODES
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(), n=st.integers(-5, 60))
+    def test_arbitrary_synth_arguments(self, seed, n):
+        with tempfile.TemporaryDirectory() as tmp:
+            code = main(["synth", f"--seed={seed}", f"--n={n}", "--out", tmp])
+        assert code in (EXIT_OK, EXIT_EMPTY)
+        if seed < 0 or n < 20:
+            assert code == EXIT_EMPTY
 
     # A cell that still parses runs the whole pipeline, so fewer examples here.
     @settings(max_examples=40)

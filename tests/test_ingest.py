@@ -220,6 +220,9 @@ class TestFilterConfig:
             FilterConfig(min_minutes=-1)
         with pytest.raises(InvalidInputError):
             FilterConfig(min_market_value_m_eur=-0.5)
+        # NaN passes a `< 0` check but would make every `value < floor` False.
+        with pytest.raises(InvalidInputError):
+            FilterConfig(min_market_value_m_eur=float("nan"))
 
 
 class TestApplyFilters:

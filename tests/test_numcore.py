@@ -31,7 +31,6 @@ class TestMatrix:
         assert m.rows == 3
         assert m.cols == 2
         assert m.column(1).tolist() == [2.0, 4.0, 6.0]
-        assert m.entries.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_rejects_one_dimensional(self):
         with pytest.raises(InvalidInputError):

@@ -25,10 +25,6 @@ def test_every_exported_name_resolves(name):
     assert value is getattr(module, name)
 
 
-def test_every_lazy_name_is_exported():
-    assert sorted(marketval._ORIGIN) == sorted(marketval.__all__)
-
-
 def test_dir_lists_the_exports():
     assert set(marketval.__all__) <= set(dir(marketval))
     assert "__version__" in dir(marketval)
