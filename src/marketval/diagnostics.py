@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import numcore
 from .distributions import chi2_sf
@@ -135,7 +134,9 @@ def vif(data: EncodedDataset, factors: numcore.QrFactors | None = None) -> VifRe
         would no longer fall inside the rank cut; or
     (d) has VIF_j >= 1e12, which is R^2_j >= 1 - 1e-12.
 
-    Otherwise r_squared_aux = 1 - 1/VIF_j, with VIF_j clamped to >= 1.
+    Otherwise r_squared_aux = 1 - 1/VIF_j, with VIF_j clamped to >= 1.  A
+    lone non-bias column has nothing to be regressed on: VIF 1 and
+    r_squared_aux 0.  With no non-bias column the report is empty.
 
     Near-singular cases are decided by the R^2 cut (d).  A column dropped
     by the rank cut has a residual shorter than DEFAULT_RANK_TOL * |R[0, 0]|
@@ -149,8 +150,6 @@ def vif(data: EncodedDataset, factors: numcore.QrFactors | None = None) -> VifRe
     would stop short of 1 - 1e-12.
     """
     non_bias = [j for j, c in enumerate(data.columns) if c.kind != KIND_BIAS]
-    if len(non_bias) < 2:
-        raise InvalidInputError("vif needs at least 2 non-bias columns")
     a = data.design.array()
     if factors is None:
         factors = numcore.qr_pivoted(data.design)
@@ -166,7 +165,7 @@ def vif(data: EncodedDataset, factors: numcore.QrFactors | None = None) -> VifRe
     if 0 < rank < a.shape[1]:
         r = factors.r
         # Row i: coefficients of retained column pivoted[i] in each dropped column.
-        coef = scipy.linalg.solve_triangular(r[:rank, :rank], r[:rank, rank:])
+        coef = factors.solve_r11(r[:rank, rank:])
         weight = np.abs(coef).max(axis=1) / np.sqrt(inv_gram[pivoted])
         infinite[pivoted] |= weight >= numcore.DEFAULT_RANK_TOL * abs(r[0, 0])  # (c)
 

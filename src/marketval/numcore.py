@@ -3,10 +3,9 @@
 A validated immutable matrix type, a column-pivoted QR factorization with
 an explicit numerical-rank cut, and a least-squares solver that zeroes the
 coefficients of columns judged collinear instead of failing.  Every
-factorization the package makes is made here, though `diagnostics.vif`
-calls `scipy.linalg.solve_triangular` on the factors itself.  The
-factorization is delegated to LAPACK via scipy; the rank decision and the
-dropped-column bookkeeping live here.
+factorization and triangular solve the package makes is made here, by
+LAPACK via scipy; the rank decision and the dropped-column bookkeeping
+live here too.
 """
 from __future__ import annotations
 
@@ -92,6 +91,10 @@ class QrFactors:
         """Original indices of the columns that survived the rank cut, ascending."""
         return tuple(sorted(self.permutation[: self.rank]))
 
+    def solve_r11(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``R11 z = rhs`` for the retained block ``R11 = r[:rank, :rank]``."""
+        return scipy.linalg.solve_triangular(self.r[: self.rank, : self.rank], rhs)
+
 
 @dataclass(frozen=True)
 class LeastSquaresSolution:
@@ -153,7 +156,7 @@ def solve_from_factors(factors: QrFactors, x: Matrix, y: np.ndarray) -> LeastSqu
     beta = np.zeros(p)
     if rank > 0:
         qty = factors.q.T @ y
-        z = scipy.linalg.solve_triangular(factors.r[:rank, :rank], qty[:rank])
+        z = factors.solve_r11(qty[:rank])
         beta[list(factors.permutation[:rank])] = z
     fitted = a @ beta
     resid = y - fitted
@@ -188,8 +191,7 @@ def unscaled_covariance(factors: QrFactors) -> Matrix:
     rank = factors.rank
     if rank == 0:
         raise DegenerateModelError("matrix has numerical rank zero")
-    r1 = factors.r[:rank, :rank]
-    rinv = scipy.linalg.solve_triangular(r1, np.eye(rank))
+    rinv = factors.solve_r11(np.eye(rank))
     cov_piv = rinv @ rinv.T
     order = np.argsort(np.array(factors.permutation[:rank]))
     cov = cov_piv[np.ix_(order, order)]

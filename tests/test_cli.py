@@ -255,6 +255,19 @@ class TestDiagnoseCommand:
         reduced = json.loads((sel_out / "diagnostics.json").read_text())
         assert len(reduced["vif"]) < len(full["vif"])
 
+    @pytest.mark.parametrize("alpha, vif", [
+        ("1e-6", [{"column": "goal_contribution", "r_squared_aux": 0.0, "vif": 1.0,
+                   "band": "uncorrelated", "infinite": False}]),
+        ("1e-12", []),
+    ])
+    def test_select_down_to_one_or_no_regressor(self, tmp_path, alpha, vif):
+        data = tmp_path / "data"
+        assert main(["synth", "--seed", "1", "--n", "105", "--out", str(data)]) == EXIT_OK
+        out = tmp_path / "d"
+        assert main(["diagnose", "--input", str(data / "synth.csv"), "--out", str(out),
+                     "--select", "--alpha", alpha]) == EXIT_OK
+        assert json.loads((out / "diagnostics.json").read_text())["vif"] == vif
+
     def test_deterministic_outputs(self, tmp_path, synth_csv):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

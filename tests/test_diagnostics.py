@@ -260,12 +260,19 @@ class TestVif:
         assert all(e.band == VIF_HIGH for e in report.entries)
         assert all(e.vif > 5.0 for e in report.entries)
 
-    def test_needs_two_non_bias_columns(self):
-        data = dataset_from_arrays(
-            np.column_stack([np.ones(5), np.arange(5.0)]), np.arange(5.0) + 1.0
-        )
-        with pytest.raises(InvalidInputError):
-            vif(data)
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_lone_regressor_vif_one(self, bias):
+        # Nothing to regress it on: R^2_aux = 0 and VIF = 1, centered or not.
+        x = np.array([0.5, 1.0, 4.0, 2.5, 3.0])
+        design = np.column_stack([np.ones(5), x]) if bias else x[:, None]
+        (e,) = vif(dataset_from_arrays(design, x + 1.0, bias=bias)).entries
+        assert e.vif == pytest.approx(1.0, abs=1e-12)
+        assert e.r_squared_aux == pytest.approx(0.0, abs=1e-12)
+        assert (e.band, e.infinite) == (VIF_UNCORRELATED, False)
+
+    def test_no_regressor_empty_report(self):
+        data = dataset_from_arrays(np.ones((5, 1)), np.arange(5.0) + 1.0)
+        assert vif(data).entries == ()
 
 
 @st.composite

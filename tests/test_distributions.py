@@ -1,9 +1,9 @@
 """Special functions and tail probabilities.
 
-Accuracy is checked three independent ways: closed-form identities
-(factorials, the Cauchy arctan tail, the chi-square df=2 exponential,
-t-squared versus F), adaptive-quadrature oracles, and a high-precision
-log-gamma reference (mpmath).
+Accuracy is checked three independent ways: closed-form identities (the
+Cauchy arctan tail, the chi-square df=2 exponential, t-squared versus F),
+adaptive-quadrature oracles, and high-precision log-beta and
+incomplete-beta references (mpmath).
 """
 from __future__ import annotations
 
@@ -16,9 +16,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from marketval.distributions import (
+    _ln_beta,
     chi2_sf,
     f_sf,
-    ln_gamma,
     reg_inc_beta,
     reg_inc_gamma_lower,
     student_t_quantile,
@@ -34,39 +34,32 @@ from oracles import (
 )
 
 
-class TestLnGamma:
-    def test_exact_integers(self):
-        # ln Gamma(n) = ln (n-1)!
-        for n in range(1, 15):
-            assert ln_gamma(float(n)) == pytest.approx(
-                math.log(math.factorial(n - 1)), abs=1e-12
-            )
+class TestLnBeta:
+    """`_ln_beta` against mpmath at 50 digits on half-integer shapes, the
+    arguments of every t and F tail, in both argument orders."""
 
-    def test_half(self):
-        assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-13)
+    HALVES = tuple(0.5 * k for k in range(1, 20))
+    LARGE = tuple(float(x) for x in np.round(2.0 * np.geomspace(10.0, 1e8, 25)) / 2.0)
 
-    def test_against_mpmath_grid(self):
-        mpmath.mp.dps = 40
-        for x in np.geomspace(0.05, 1e6, 120):
-            expected = float(mpmath.loggamma(mpmath.mpf(float(x))))
-            got = ln_gamma(float(x))
-            # Absolute 1e-12 where the result is small enough for float64 to
-            # represent that; a few ulps relative otherwise.
-            tol = max(1e-12, abs(expected) * 5e-15)
-            assert got == pytest.approx(expected, abs=tol), f"x={x}"
+    @staticmethod
+    def expected(a, b):
+        with mpmath.workdps(50):
+            return float(mpmath.log(mpmath.beta(mpmath.mpf(a), mpmath.mpf(b))))
 
-    def test_recurrence(self):
-        # ln Gamma(x+1) = ln Gamma(x) + ln x
-        for x in (0.3, 0.9, 1.7, 4.2, 33.0):
-            assert ln_gamma(x + 1.0) == pytest.approx(
-                ln_gamma(x) + math.log(x), abs=1e-11
-            )
+    def test_small_by_any(self):
+        # One shape below 10, the other up to 1e8: 1e-13 absolute.
+        for a in self.HALVES:
+            for b in self.HALVES + self.LARGE:
+                want = self.expected(a, b)
+                assert _ln_beta(a, b) == pytest.approx(want, rel=0.0, abs=1e-13), (a, b)
+                assert _ln_beta(b, a) == pytest.approx(want, rel=0.0, abs=1e-13), (b, a)
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            ln_gamma(0.0)
-        with pytest.raises(DomainError):
-            ln_gamma(-1.5)
+    def test_both_large(self):
+        for a in self.LARGE:
+            for b in self.LARGE:
+                want = self.expected(a, b)
+                tol = 2e-15 * abs(want) + 1e-13
+                assert _ln_beta(a, b) == pytest.approx(want, rel=0.0, abs=tol), (a, b)
 
 
 class TestRegIncBeta:
@@ -278,17 +271,22 @@ class TestFSf:
 
 
 class TestLargeDfTailsAgainstMpmath:
-    """t and F tails to df 2e4 within 1e-10 relative of mpmath at 40 digits.
+    """t and F tails to df 2e4 within 1e-11 relative of mpmath at 40 digits.
 
-    The grid reaches the complement branch of the incomplete beta (F near
-    2.9, t near 1.7), which multiplies the log-beta error by (1 - p)/p.
-    Swapping the Lanczos log-gamma for `math.lgamma` fails it at df 2e4.
-    Off this grid the bound does not hold everywhere: `f_sf(2.9, 1, 16443)`
-    is 2.6e-10 off.
+    The grid and the random df1 = 1 points reach the complement branch of
+    the incomplete beta (F near 2.9, t near 1.7), which multiplies the
+    log-beta error by (1 - p)/p; `f_sf(2.9, 1, 16443)` is such a point.
     """
 
     DFS = (1, 2, 5, 10, 30, 100, 300, 1000, 3000, 10_000, 20_000)
     GRID = tuple(round(0.1 * k, 1) for k in range(1, 61))
+
+    @staticmethod
+    def expected_f(f, df1, df2):
+        with mpmath.workdps(40):
+            x = mpmath.mpf(df2) / (df2 + df1 * mpmath.mpf(f))
+            a, b = mpmath.mpf(df2) / 2, mpmath.mpf(df1) / 2
+            return float(mpmath.betainc(a, b, 0, x, regularized=True))
 
     def test_t_two_sided(self):
         with mpmath.workdps(40):
@@ -297,18 +295,24 @@ class TestLargeDfTailsAgainstMpmath:
                     x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
                     expected = float(mpmath.betainc(mpmath.mpf(df) / 2, 0.5, 0, x, regularized=True))
                     got = t_two_sided_p(t, df)
-                    assert got == pytest.approx(expected, rel=1e-10, abs=0.0), (t, df)
+                    assert got == pytest.approx(expected, rel=1e-11, abs=0.0), (t, df)
 
     @pytest.mark.parametrize("df1", [1, 10, 95])
     def test_f_sf(self, df1):
-        with mpmath.workdps(40):
-            for df2 in self.DFS:
-                for f in self.GRID:
-                    x = mpmath.mpf(df2) / (df2 + df1 * mpmath.mpf(f))
-                    a, b = mpmath.mpf(df2) / 2, mpmath.mpf(df1) / 2
-                    expected = float(mpmath.betainc(a, b, 0, x, regularized=True))
-                    got = f_sf(f, df1, df2)
-                    assert got == pytest.approx(expected, rel=1e-10, abs=0.0), (f, df2)
+        for df2 in self.DFS:
+            for f in self.GRID:
+                expected = self.expected_f(f, df1, df2)
+                assert f_sf(f, df1, df2) == pytest.approx(expected, rel=1e-11, abs=0.0), (f, df2)
+
+    def test_f_sf_random_large_df2(self):
+        rng = np.random.default_rng(16443)
+        points = [(2.9, 16443)] + [
+            (float(f), int(df2))
+            for f, df2 in zip(rng.uniform(0.1, 6.0, 300), rng.integers(2000, 20_001, 300))
+        ]
+        for f, df2 in points:
+            expected = self.expected_f(f, 1, df2)
+            assert f_sf(f, 1, df2) == pytest.approx(expected, rel=1e-11, abs=0.0), (f, df2)
 
 
 class TestStudentTQuantile:

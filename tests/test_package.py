@@ -1,13 +1,15 @@
-"""The package namespace: lazy re-exports of every public name."""
+"""The package namespace: lazy re-exports of every public name, and the
+LAPACK boundary."""
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 
 import pytest
 
 import marketval
-from conftest import child_env
+from conftest import SRC, child_env
 
 
 def test_import_loads_no_numpy():
@@ -41,3 +43,19 @@ def test_submodules_and_names_import_by_name():
 
     assert fit_ols is defined
     assert numcore.__name__ == "marketval.numcore"
+
+
+def test_only_numcore_imports_scipy():
+    # Every factorization and triangular solve goes through `numcore`.
+    importers = []
+    for path in sorted((SRC / "marketval").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                importers.append(path.stem)
+    assert set(importers) == {"numcore"}
