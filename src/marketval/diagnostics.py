@@ -120,8 +120,9 @@ def vif(data: EncodedDataset, factors: numcore.QrFactors | None = None) -> VifRe
         VIF_j = [(X'X)^{-1}]_jj * S_j,
 
     with S_j = sum_i (x_ij - mean_j)^2 when there is a bias column and
-    S_j = sum_i x_ij^2 when there is none.  (X'X)^{-1} is
-    `numcore.unscaled_covariance` of the columns the rank cut retained.
+    S_j = sum_i x_ij^2 when there is none.  The diagonal [(X'X)^{-1}]_jj is
+    `numcore.unscaled_covariance`: the squared norm of row j of R11^{-1}
+    over the columns the rank cut retained, inf at the dropped ones.
 
     An entry is flagged infinite, with r_squared_aux = 1.0, when the column
 
@@ -155,11 +156,7 @@ def vif(data: EncodedDataset, factors: numcore.QrFactors | None = None) -> VifRe
         factors = numcore.qr_pivoted(data.design)
     rank = factors.rank
     pivoted = list(factors.permutation[:rank])
-    # Diagonal of the inverse Gram matrix by original column index.
-    inv_gram = np.full(a.shape[1], math.inf)
-    if rank > 0:
-        cov = numcore.unscaled_covariance(factors).array()
-        inv_gram[list(factors.retained_columns)] = np.diag(cov)
+    inv_gram = numcore.unscaled_covariance(factors)
     infinite = np.zeros(a.shape[1], dtype=bool)
     infinite[list(factors.dropped_columns)] = True  # (b)
     if 0 < rank < a.shape[1]:

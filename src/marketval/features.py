@@ -84,14 +84,16 @@ class PlayerRecord:
 def age_group(age: int) -> int:
     """Age band index: {20-21, 22-23, 24-25, 26-27, 28-29, 30-31, >=32} -> 0..6."""
     if age < 20:
-        raise OutOfRangeError("age groups start at 20")
+        raise OutOfRangeError(f"age {age} is below 20, where the age bands start")
     return min((age - 20) // 2, 6)
 
 
 def height_group(height_cm: int) -> int:
     """Height band index: {160-164, ..., 185-189, >=190} -> 0..6, 5 cm per band."""
     if height_cm < 160:
-        raise OutOfRangeError("height groups start at 160 cm")
+        raise OutOfRangeError(
+            f"height {height_cm} cm is below 160 cm, where the height bands start"
+        )
     return min((height_cm - 160) // 5, 6)
 
 
@@ -218,6 +220,14 @@ def _read_only(v) -> np.ndarray:
     return a
 
 
+def _extract_naming_player(extract, record: PlayerRecord):
+    """`extract(record)`, with a band error prefixed by the record's player."""
+    try:
+        return extract(record)
+    except OutOfRangeError as exc:
+        raise OutOfRangeError(f"player {record.name!r}: {exc}") from None
+
+
 def encode_dataset(records: list[PlayerRecord]) -> EncodedDataset:
     """Build the design matrix and response from player records.
 
@@ -240,7 +250,8 @@ def encode_dataset(records: list[PlayerRecord]) -> EncodedDataset:
     ------
     OutOfRangeError
         For the first attribute in `CATEGORICAL_ATTRIBUTES` order with a
-        value outside its bands (an age below 20 or a height below 160).
+        value outside its bands (an age below 20 or a height below 160),
+        naming the first player with such a value.
     """
     if len(records) < 2:
         raise InvalidInputError("encoding needs at least 2 records")
@@ -250,7 +261,11 @@ def encode_dataset(records: list[PlayerRecord]) -> EncodedDataset:
     codes: list[np.ndarray] = []
 
     for attr, extract in CATEGORICAL_ATTRIBUTES:
-        values = list(map(extract, records))
+        try:
+            values = list(map(extract, records))
+        except OutOfRangeError:
+            # map does not say which record failed: redo it record by record to name it.
+            values = [_extract_naming_player(extract, r) for r in records]
         levels = sorted(set(values))
         dropped[attr] = str(levels[0])
         # The dropped level maps to the bias column, which is all ones anyway.

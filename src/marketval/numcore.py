@@ -1,11 +1,11 @@
 """Dense matrix plumbing and rank-revealing least squares.
 
 A validated immutable matrix type, a column-pivoted QR factorization with
-an explicit numerical-rank cut, and a least-squares solver that zeroes the
-coefficients of columns judged collinear instead of failing.  Every
-factorization and triangular solve the package makes is made here, by
-LAPACK via scipy; the rank decision and the dropped-column bookkeeping
-live here too.
+an explicit numerical-rank cut, a least-squares solver that zeroes the
+coefficients of collinear columns instead of failing, and the inverse-Gram
+diagonal that standard errors and VIFs are read from.  Every factorization
+and triangular solve the package makes is made here, by LAPACK via scipy;
+the rank decision and the dropped-column bookkeeping live here too.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateModelError, InvalidInputError
+from .errors import InvalidInputError
 
 # A column is kept while |R[i, i]| >= DEFAULT_RANK_TOL * |R[0, 0]|.
 DEFAULT_RANK_TOL = 1e-10
@@ -98,16 +98,15 @@ class QrFactors:
 
 @dataclass(frozen=True)
 class LeastSquaresSolution:
-    """Minimum-norm-style least squares solution with collinear columns zeroed.
+    """Least squares solution with collinear columns zeroed.
 
-    `coefficients` has one entry per input column; entries at
-    `dropped_columns` are exactly 0.0.  `fitted` is ``x @ coefficients``,
-    the vector `rss` was measured from.
+    `coefficients` has one entry per input column; entries at the
+    factorization's `dropped_columns` are exactly 0.0.  `fitted` is
+    ``x @ coefficients``, the vector `rss` was measured from.  The rank and
+    dropped columns live on the `QrFactors` it was solved from.
     """
 
     coefficients: np.ndarray
-    rank: int
-    dropped_columns: tuple[int, ...]
     rss: float
     fitted: np.ndarray
 
@@ -160,13 +159,7 @@ def solve_from_factors(factors: QrFactors, x: Matrix, y: np.ndarray) -> LeastSqu
         beta[list(factors.permutation[:rank])] = z
     fitted = a @ beta
     resid = y - fitted
-    return LeastSquaresSolution(
-        coefficients=beta,
-        rank=rank,
-        dropped_columns=factors.dropped_columns,
-        rss=float(resid @ resid),
-        fitted=fitted,
-    )
+    return LeastSquaresSolution(coefficients=beta, rss=float(resid @ resid), fitted=fitted)
 
 
 def least_squares_solve(x, y) -> LeastSquaresSolution:
@@ -181,19 +174,15 @@ def least_squares_solve(x, y) -> LeastSquaresSolution:
     return solve_from_factors(factors, m, yv)
 
 
-def unscaled_covariance(factors: QrFactors) -> Matrix:
-    """Inverse Gram matrix ``(X'X)^{-1}`` of the retained columns.
+def unscaled_covariance(factors: QrFactors) -> np.ndarray:
+    """Diagonal of the inverse Gram matrix ``(X'X)^{-1}`` of the retained columns.
 
-    Rows and columns are ordered by `QrFactors.retained_columns` (original
-    column indices, ascending).  Multiply by an error-variance estimate to
-    get a coefficient covariance matrix.
+    Entry j, indexed by original column, is the squared norm of the row of
+    ``R11^{-1}`` that column j pivoted to; columns the rank cut dropped get
+    inf.  Multiply by an error-variance estimate to get coefficient
+    variances.
     """
-    rank = factors.rank
-    if rank == 0:
-        raise DegenerateModelError("matrix has numerical rank zero")
-    rinv = factors.solve_r11(np.eye(rank))
-    cov_piv = rinv @ rinv.T
-    order = np.argsort(np.array(factors.permutation[:rank]))
-    cov = cov_piv[np.ix_(order, order)]
-    cov = (cov + cov.T) / 2.0
-    return Matrix(cov)
+    rinv = factors.solve_r11(np.eye(factors.rank))
+    diag = np.full(len(factors.permutation), np.inf)
+    diag[list(factors.permutation[: factors.rank])] = np.einsum("ij,ij->i", rinv, rinv)
+    return diag

@@ -190,7 +190,7 @@ def fit_ols(data: EncodedDataset, confidence_level: float = 0.95) -> FitResult:
     beta = solution.coefficients
     fitted = solution.fitted
     residuals = y - fitted
-    rank = solution.rank
+    rank = factors.rank
 
     k_params = rank
     df_resid = n - rank
@@ -207,13 +207,12 @@ def fit_ols(data: EncodedDataset, confidence_level: float = 0.95) -> FitResult:
     ci_low = np.full(p, math.nan)
     ci_high = np.full(p, math.nan)
 
-    if inference_available and rank > 0:
+    if inference_available:
         sigma2 = rss / df_resid
-        cov = numcore.unscaled_covariance(factors).array()
-        retained = factors.retained_columns
+        inv_gram = numcore.unscaled_covariance(factors)
         tq = distributions.student_t_quantile((1.0 + confidence_level) / 2.0, df_resid)
-        for pos, j in enumerate(retained):
-            se = math.sqrt(sigma2 * cov[pos, pos])
+        for j in factors.retained_columns:
+            se = math.sqrt(sigma2 * inv_gram[j])
             std_errors[j] = se
             if se > 0.0:
                 t = beta[j] / se
@@ -241,7 +240,7 @@ def fit_ols(data: EncodedDataset, confidence_level: float = 0.95) -> FitResult:
     else:
         log_l = aic = bic = math.nan
 
-    dropped_names = tuple(data.column_names[j] for j in solution.dropped_columns)
+    dropped_names = tuple(data.column_names[j] for j in factors.dropped_columns)
     return FitResult(
         n_obs=n,
         k_params=k_params,

@@ -125,8 +125,7 @@ def _compressed_state(
     rss = solution.rss + compressed.rho2
     if rss <= 0.0:
         return None
-    cov_diag = np.diag(numcore.unscaled_covariance(factors).array())
-    t = solution.coefficients / np.sqrt(rss / df_resid * cov_diag)
+    t = solution.coefficients / np.sqrt(rss / df_resid * numcore.unscaled_covariance(factors))
     candidates = sorted(
         ((distributions.t_two_sided_p(float(t[pos]), df_resid), int(pos))
          for pos in np.argsort(np.abs(t), kind="stable")[:2]),

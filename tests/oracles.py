@@ -25,7 +25,7 @@ from marketval.diagnostics import (
     _band,
 )
 from marketval.distributions import chi2_sf
-from marketval.errors import InvalidInputError, RowParseError
+from marketval.errors import InvalidInputError, OutOfRangeError, RowParseError
 from marketval.features import (
     BIAS_COLUMN_NAME,
     KIND_BIAS,
@@ -60,6 +60,26 @@ def gram_schmidt_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             r[j, k] = q[:, j] @ v[:, k]
             v[:, k] = v[:, k] - r[j, k] * q[:, j]
     return q, r
+
+
+def inverse_gram_diagonal_by_product(factors: numcore.QrFactors) -> np.ndarray:
+    """[(X'X)^{-1}]_jj by original column, read off the full p x p inverse Gram.
+
+    Forms R11^{-1} R11^{-T} as a matrix product, reorders its rows and
+    columns from pivot order to original column order, symmetrises it and
+    takes the diagonal.  Columns the rank cut dropped get inf.
+    """
+    rank = factors.rank
+    diag = np.full(len(factors.permutation), math.inf)
+    if rank == 0:
+        return diag
+    rinv = factors.solve_r11(np.eye(rank))
+    cov_piv = rinv @ rinv.T
+    order = np.argsort(np.array(factors.permutation[:rank]))
+    cov = cov_piv[np.ix_(order, order)]
+    cov = (cov + cov.T) / 2.0
+    diag[list(factors.retained_columns)] = np.diag(cov)
+    return diag
 
 
 def normal_equations_summary(x: np.ndarray, y: np.ndarray, has_bias: bool) -> dict:
@@ -155,7 +175,7 @@ def breusch_pagan_by_aux_regression(
     target = e2 if variant == BP_KOENKER else e2 / (fit.rss / n)
     solution = numcore.least_squares_solve(aux, target)
     tss = float(np.sum((target - target.mean()) ** 2))
-    df = solution.rank - 1
+    df = numcore.qr_pivoted(aux).rank - 1
     if tss <= 0.0:
         lm = 0.0
     elif variant == BP_KOENKER:
@@ -285,7 +305,12 @@ def encode_dataset_by_levels(records: list[PlayerRecord]) -> EncodedDataset:
     metas = [ColumnMeta(BIAS_COLUMN_NAME, KIND_BIAS, "bias")]
     dropped = {}
     for attr, extract in categorical:
-        values = [extract(r) for r in records]
+        values = []
+        for r in records:
+            try:
+                values.append(extract(r))
+            except OutOfRangeError as exc:
+                raise OutOfRangeError(f"player {r.name!r}: {exc}") from None
         levels = sorted(set(values))
         dropped[attr] = str(levels[0])
         for level in levels[1:]:

@@ -186,6 +186,27 @@ class TestFitCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "column, value, flags, message",
+        [
+            ("height_cm", "150", [], "height 150 cm is below 160 cm, where the height bands start"),
+            ("age", "18", ["--age-min", "18"], "age 18 is below 20, where the age bands start"),
+        ],
+    )
+    def test_value_below_the_bands_names_the_player(
+        self, tmp_path, synth_csv, capsys, column, value, flags, message
+    ):
+        # The record and the filters accept the value; only the band encoding rejects it.
+        lines = synth_csv.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        bad = tmp_path / "bad.csv"
+        bad.write_text(lines[0] + ",".join(cells) + "".join(lines[2:]), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["fit", "--input", str(bad), "--out", str(out), *flags]) == EXIT_EMPTY
+        assert capsys.readouterr().err == f"error: player {cells[0]!r}: {message}\n"
+        assert not out.exists()
+
     def test_empty_file_exit_code(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_bytes(b"")
