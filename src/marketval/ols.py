@@ -37,12 +37,14 @@ class FitResult:
 
     Vectors are indexed like the design columns.  Entries for dropped
     (collinear) columns are 0.0 in `coefficients` and NaN in the inference
-    vectors; `dropped_columns` lists their names.  `log_likelihood`, `aic`
-    and `bic` are NaN when `likelihood_available` is False (perfect fit);
-    the inference vectors are NaN throughout when `inference_available` is
-    False (no residual degrees of freedom).  `factors` is the pivoted QR of
-    the design the model was fitted on; Breusch-Pagan, VIF and backward
-    elimination read it instead of factoring the design again.
+    vectors.  `log_likelihood`, `aic` and `bic` are NaN when
+    `likelihood_available` is False (perfect fit); the inference vectors
+    are NaN throughout when `inference_available` is False (no residual
+    degrees of freedom).  `factors` is the pivoted QR of the design the
+    model was fitted on and the only record of which columns it kept:
+    `dropped_columns` and `retained_columns` read their names from it.
+    Breusch-Pagan, VIF and backward elimination read it instead of
+    factoring the design again.
     """
 
     n_obs: int
@@ -68,16 +70,18 @@ class FitResult:
     rss: float
     residuals: np.ndarray
     fitted: np.ndarray
-    dropped_columns: tuple[str, ...]
     inference_available: bool
     likelihood_available: bool
     factors: numcore.QrFactors = field(compare=False, repr=False)
     covariance_type: str = COVARIANCE_TYPE
 
     @property
+    def dropped_columns(self) -> tuple[str, ...]:
+        return tuple(self.column_names[j] for j in self.factors.dropped_columns)
+
+    @property
     def retained_columns(self) -> tuple[str, ...]:
-        dropped = set(self.dropped_columns)
-        return tuple(n for n in self.column_names if n not in dropped)
+        return tuple(self.column_names[j] for j in self.factors.retained_columns)
 
 
 def total_sum_of_squares(y: np.ndarray, has_bias: bool) -> float:
@@ -240,7 +244,6 @@ def fit_ols(data: EncodedDataset, confidence_level: float = 0.95) -> FitResult:
     else:
         log_l = aic = bic = math.nan
 
-    dropped_names = tuple(data.column_names[j] for j in factors.dropped_columns)
     return FitResult(
         n_obs=n,
         k_params=k_params,
@@ -265,7 +268,6 @@ def fit_ols(data: EncodedDataset, confidence_level: float = 0.95) -> FitResult:
         rss=rss,
         residuals=residuals,
         fitted=fitted,
-        dropped_columns=dropped_names,
         inference_available=inference_available,
         likelihood_available=likelihood_available,
         factors=factors,
@@ -291,20 +293,15 @@ def coefficient_table(fit: FitResult) -> list[CoefficientRow]:
     """
     if not fit.inference_available:
         raise InferenceUnavailableError("fit has no residual degrees of freedom")
-    dropped = set(fit.dropped_columns)
-    rows: list[CoefficientRow] = []
-    for j, name in enumerate(fit.column_names):
-        if name in dropped:
-            continue
-        rows.append(
-            CoefficientRow(
-                name=name,
-                coef=float(fit.coefficients[j]),
-                std_err=float(fit.std_errors[j]),
-                t=float(fit.t_values[j]),
-                p=float(fit.p_values[j]),
-                ci_low=float(fit.ci_low[j]),
-                ci_high=float(fit.ci_high[j]),
-            )
+    return [
+        CoefficientRow(
+            name=fit.column_names[j],
+            coef=float(fit.coefficients[j]),
+            std_err=float(fit.std_errors[j]),
+            t=float(fit.t_values[j]),
+            p=float(fit.p_values[j]),
+            ci_low=float(fit.ci_low[j]),
+            ci_high=float(fit.ci_high[j]),
         )
-    return rows
+        for j in fit.factors.retained_columns
+    ]

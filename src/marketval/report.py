@@ -100,12 +100,10 @@ def _coefficient_lines(fit: FitResult) -> list[str]:
                 f"{fmt_4f(row.ci_low):>10}{fmt_4f(row.ci_high):>10}"
             )
     else:
-        dropped = set(fit.dropped_columns)
-        for name, coef in zip(fit.column_names, fit.coefficients):
-            if name in dropped:
-                continue
-            lines.append(f"{name:<{name_w}}{fmt_4f(float(coef)):>12}" + " " * 50)
-    if fit.dropped_columns:
+        for j in fit.factors.retained_columns:
+            coef = fmt_4f(float(fit.coefficients[j]))
+            lines.append(f"{fit.column_names[j]:<{name_w}}{coef:>12}" + " " * 50)
+    if fit.factors.dropped_columns:
         lines.append("Dropped (collinear): " + ", ".join(fit.dropped_columns))
     return lines
 
@@ -127,7 +125,7 @@ def json_dumps(obj: Any) -> str:
 
 
 def fit_to_dict(fit: FitResult) -> dict:
-    dropped = set(fit.dropped_columns)
+    dropped = fit.factors.dropped_columns
     columns = []
     for j, name in enumerate(fit.column_names):
         columns.append(
@@ -139,7 +137,7 @@ def fit_to_dict(fit: FitResult) -> dict:
                 "p": float(fit.p_values[j]),
                 "ci_low": float(fit.ci_low[j]),
                 "ci_high": float(fit.ci_high[j]),
-                "dropped": name in dropped,
+                "dropped": j in dropped,
             }
         )
     return {

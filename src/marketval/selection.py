@@ -15,7 +15,6 @@ final model is always such a refit.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,23 +65,20 @@ class EliminationTrace:
     final_data: EncodedDataset = field(compare=False, repr=False)
 
 
-# Worst retained column of a model: position among its columns, name, p-value.
-_Worst = tuple[int, str, float]
+# Worst retained column of a model: position among its columns, p-value.
+_Worst = tuple[int, float]
 
 
 def _worst_retained(fit: FitResult) -> _Worst | None:
-    """Index, name and p of the largest retained p-value; ties -> lowest index."""
-    dropped = set(fit.dropped_columns)
-    best: _Worst | None = None
-    for j, name in enumerate(fit.column_names):
-        if name in dropped:
-            continue
-        p = float(fit.p_values[j])
-        if math.isnan(p):
-            continue
-        if best is None or p > best[2]:
-            best = (j, name, p)
-    return best
+    """Index and p of the largest p-value; ties -> lowest index.
+
+    Dropped columns, and every column of a fit without inference, have NaN
+    p-values and are skipped; None when no column has one.
+    """
+    if np.isnan(fit.p_values).all():
+        return None
+    j = int(np.nanargmax(fit.p_values))
+    return j, float(fit.p_values[j])
 
 
 @dataclass(frozen=True)
@@ -139,7 +135,7 @@ def _compressed_state(
     has_bias = data.has_bias and keep[0] == 0
     r2 = r_squared(rss, total_sum_of_squares(data.response, has_bias))
     summary = ModelSummary(k, r2, adjusted_r_squared(r2, data.design.rows, df_resid, has_bias))
-    return (pos, data.column_names[keep[pos]], p), summary
+    return (pos, p), summary
 
 
 def backward_eliminate(
@@ -178,11 +174,12 @@ def backward_eliminate(
     k_params = fit.k_params
     steps: list[EliminationStep] = []
     conforming = True
-    while worst is not None and worst[2] > alpha:
+    while worst is not None and worst[1] > alpha:
         if k_params == 1:
             conforming = False
             break
-        pos, name, p = worst
+        pos, p = worst
+        name = data.column_names[keep[pos]]
         del keep[pos]
         # Neither its n x p Q nor its design may stay alive beside the next fit's.
         fit = fit_data = None

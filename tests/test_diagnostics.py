@@ -56,7 +56,6 @@ def fit_with_residuals(data, residuals):
         rss=float(residuals @ residuals),
         residuals=residuals,
         fitted=np.asarray(data.response) - residuals,
-        dropped_columns=(),
         inference_available=True,
         likelihood_available=True,
         factors=numcore.qr_pivoted(data.design),

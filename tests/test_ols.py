@@ -1,6 +1,7 @@
 """OLS fitting, summary statistics and coefficient inference."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from marketval.ols import (
     information_criteria,
     log_likelihood,
 )
+from marketval.report import render_summary
 from conftest import dataset_from_arrays
 from oracles import gaussian_density_log_product, normal_equations_summary
 
@@ -196,6 +198,46 @@ class TestFitOls:
             n for n in fit.column_names if n != fit.dropped_columns[0]
         )
 
+    def test_kept_columns_are_read_from_the_factorization(self):
+        assert "dropped_columns" not in {f.name for f in dataclasses.fields(FitResult)}
+        rng = np.random.default_rng(209)
+        base = rng.normal(size=(20, 3))
+        base[:, 0] = 1.0
+        x = np.column_stack([base, base[:, 2]])
+        fit = fit_ols(dataset_from_arrays(x, rng.normal(size=20)))
+        assert fit.factors.dropped_columns == (3,)
+        assert fit.dropped_columns == ("x3",)
+        assert fit.retained_columns == ("const", "x1", "x2")
+        full_rank = dataclasses.replace(fit, factors=qr_pivoted(rng.normal(size=(20, 4))))
+        assert full_rank.dropped_columns == ()
+        assert full_rank.retained_columns == fit.column_names
+
+    def test_zero_standard_errors_when_rss_is_exactly_zero(self):
+        # y lies in the column space and one residual df remains, so every
+        # retained coefficient is exact: se 0, t +-inf (0 for a zero
+        # coefficient), p 0 (1), and a zero-width interval.
+        design = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        fit = fit_ols(dataset_from_arrays(design, [1.0, 2.0, 0.0, 0.0], bias=False))
+        assert fit.rss == 0.0
+        assert fit.df_resid == 1
+        assert fit.inference_available
+        assert not fit.likelihood_available
+        assert math.isnan(fit.log_likelihood) and math.isnan(fit.aic)
+        assert fit.coefficients.tolist() == [1.0, 2.0, 0.0]
+        assert fit.std_errors.tolist() == [0.0, 0.0, 0.0]
+        assert fit.t_values.tolist() == [math.inf, math.inf, 0.0]
+        assert fit.p_values.tolist() == [0.0, 0.0, 1.0]
+        assert fit.ci_low.tolist() == fit.coefficients.tolist()
+        assert fit.ci_high.tolist() == fit.coefficients.tolist()
+        rows = coefficient_table(fit)
+        assert [(r.name, r.std_err, r.t, r.p) for r in rows] == [
+            ("x0", 0.0, math.inf, 0.0), ("x1", 0.0, math.inf, 0.0), ("x2", 0.0, 0.0, 1.0)
+        ]
+        summary = render_summary(fit).splitlines()
+        assert "x0            1.0000    0.0000       inf     0.000    1.0000    1.0000" in summary
+        assert "x1            2.0000    0.0000       inf     0.000    2.0000    2.0000" in summary
+        assert any(line.startswith("x2 ") and "1.000" in line for line in summary)
+
     def test_dropped_dummy_choice_does_not_move_fitted_values(self):
         # Same categorical information encoded against two different base
         # levels must give identical fitted values.
@@ -304,7 +346,6 @@ class TestCoefficientTable:
             rss=10.0,
             residuals=np.zeros(n),
             fitted=np.zeros(n),
-            dropped_columns=(),
             inference_available=True,
             likelihood_available=True,
             factors=qr_pivoted(np.eye(n, p)),

@@ -1,6 +1,7 @@
 """Backward elimination by p-value."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import weakref
 
@@ -18,6 +19,7 @@ from marketval.selection import (
     MAX_COMPRESSED_CONDITION,
     _Compressed,
     _compressed_state,
+    _worst_retained,
     backward_eliminate,
 )
 from marketval.synth import generate_players, records_to_csv
@@ -387,6 +389,36 @@ class TestCompressedElimination:
         assert released == [True] * (1 + refits)
 
 
+class TestWorstRetained:
+    """The column each round removes: largest p, ties to the lowest index."""
+
+    def fit_with_zero_column(self):
+        # x1 is all zeros, so the fit drops it and its p is NaN.
+        rng = np.random.default_rng(409)
+        x = np.column_stack([np.ones(20), np.zeros(20), rng.normal(size=(20, 3))])
+        fit = fit_ols(dataset_from_arrays(x, rng.normal(size=20)))
+        assert fit.factors.dropped_columns == (1,)
+        assert math.isnan(fit.p_values[1])
+        return fit
+
+    def test_tie_goes_to_the_lowest_index_past_a_dropped_nan(self):
+        fit = self.fit_with_zero_column()
+        p = np.array([0.3, math.nan, 0.01, 0.7, 0.7])
+        assert _worst_retained(dataclasses.replace(fit, p_values=p)) == (3, 0.7)
+
+    def test_tie_at_index_zero_wins(self):
+        fit = self.fit_with_zero_column()
+        p = np.array([0.2, math.nan, 0.1, 0.05, 0.2])
+        assert _worst_retained(dataclasses.replace(fit, p_values=p)) == (0, 0.2)
+
+    def test_all_nan_gives_none(self):
+        fit = self.fit_with_zero_column()
+        assert _worst_retained(dataclasses.replace(fit, p_values=np.full(5, math.nan))) is None
+        saturated = fit_ols(dataset_from_arrays(np.eye(3), [1.0, 2.0, 3.0], bias=False))
+        assert not saturated.inference_available
+        assert _worst_retained(saturated) is None
+
+
 def compressed_state(data, keep, alpha):
     factors = numcore.qr_pivoted(data.design)
     return _compressed_state(data, keep, _Compressed.from_factors(factors, data.response), alpha)
@@ -406,9 +438,9 @@ class TestCompressedStepCertification:
     def test_clear_step_matches_refit(self):
         data = self.design()
         keep = [0, 1, 2, 4]
-        (pos, name, p), summary = compressed_state(data, keep, 0.05)
+        (pos, p), summary = compressed_state(data, keep, 0.05)
         fit = fit_ols(data.select_columns(keep))
-        assert name == fit.column_names[pos] == "x4"
+        assert fit.column_names[pos] == "x4"
         assert p == pytest.approx(float(np.nanmax(fit.p_values)), rel=1e-12)
         assert summary.k_params == fit.k_params
         assert summary.r_squared == pytest.approx(fit.r_squared, abs=1e-12)
@@ -417,7 +449,7 @@ class TestCompressedStepCertification:
     def test_worst_p_at_alpha_left_to_refit(self):
         data = self.design()
         keep = [0, 1, 2, 4]
-        (_, _, p), _ = compressed_state(data, keep, 0.05)
+        (_, p), _ = compressed_state(data, keep, 0.05)
         for alpha in (p, p * (1 + 1e-10), p * (1 - 1e-10)):
             assert compressed_state(data, keep, alpha) is None
         assert compressed_state(data, keep, p * (1 + 1e-8)) is not None
