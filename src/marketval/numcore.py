@@ -4,15 +4,30 @@ A validated immutable matrix type, a column-pivoted QR factorization with
 an explicit numerical-rank cut, a least-squares solver that zeroes the
 coefficients of collinear columns instead of failing, and the inverse-Gram
 diagonal that standard errors and VIFs are read from.  Every factorization
-and triangular solve the package makes is made here, by LAPACK via scipy;
-the rank decision and the dropped-column bookkeeping live here too.
+and triangular solve the package makes is made here; the rank decision and
+the dropped-column bookkeeping live here too.
+
+The LAPACK routines (dgeqp3, dorgqr, dtrtrs) are called through `ctypes` in
+the OpenBLAS that numpy's pip wheel bundles, so no command imports scipy.
+That library's file name (`numpy.libs/libscipy_openblas64_*.so`) and its
+symbol names (`scipy_dgeqp3_64_`, ...) are private to the wheel.  Where they
+are missing, as on conda or MKL builds of numpy, the same routines run
+through `scipy.linalg`, imported at first use.  Both routes make the calls
+scipy makes, with the same workspace sizes and the same storage order.  With
+the OpenBLAS builds of numpy 2.4.6 (0.3.31) and scipy 1.17.1 (0.3.30) they
+give the same bits while the smaller side of the matrix is at most 128;
+above that LAPACK blocks the QR onto matrix products, whose kernels differ
+between the two builds, so installs that take different routes can differ
+in the last digits and in which of two exact twins is dropped.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInputError
 
@@ -92,8 +107,11 @@ class QrFactors:
         return tuple(sorted(self.permutation[: self.rank]))
 
     def solve_r11(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``R11 z = rhs`` for the retained block ``R11 = r[:rank, :rank]``."""
-        return scipy.linalg.solve_triangular(self.r[: self.rank, : self.rank], rhs)
+        """Solve ``R11 z = rhs`` for the retained block ``R11 = r[:rank, :rank]``.
+
+        `rhs` is a vector or a matrix with `rank` rows; the result has its shape.
+        """
+        return _lapack().solve_upper(self.r[: self.rank, : self.rank], rhs)
 
 
 @dataclass(frozen=True)
@@ -129,7 +147,7 @@ def qr_pivoted(x) -> QrFactors:
     QrFactors
     """
     a = as_matrix(x).array()
-    q, r, piv = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    q, r, piv = _lapack().qr(a)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         rank = 0
@@ -186,3 +204,129 @@ def unscaled_covariance(factors: QrFactors) -> np.ndarray:
     diag = np.full(len(factors.permutation), np.inf)
     diag[list(factors.permutation[: factors.rank])] = np.einsum("ij,ij->i", rinv, rinv)
     return diag
+
+
+# numpy's bundled OpenBLAS and the symbol names it gives LAPACK routines.
+_BUNDLED_OPENBLAS = "numpy.libs/libscipy_openblas64_*.so"
+_SYMBOL = "scipy_{}_64_"
+_INT = ctypes.POINTER(ctypes.c_int64)
+_DOUBLES = ctypes.POINTER(ctypes.c_double)
+# Every argument is passed by reference; each character argument has a
+# trailing hidden length.
+_SIGNATURES = {
+    "dgeqp3": (_INT, _INT, _DOUBLES, _INT, _INT, _DOUBLES, _DOUBLES, _INT, _INT),
+    "dorgqr": (_INT, _INT, _INT, _DOUBLES, _INT, _DOUBLES, _DOUBLES, _INT, _INT),
+    "dtrtrs": (ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p, _INT, _INT, _DOUBLES, _INT,
+               _DOUBLES, _INT, _INT, ctypes.c_size_t, ctypes.c_size_t, ctypes.c_size_t),
+}
+
+
+def _int(value: int):
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+def _doubles(a: np.ndarray):
+    return a.ctypes.data_as(_DOUBLES)
+
+
+class _BundledLapack:
+    """dgeqp3, dorgqr and dtrtrs of numpy's bundled OpenBLAS, called as scipy calls them."""
+
+    def __init__(self, routines: dict) -> None:
+        self._routines = routines
+
+    def _call(self, name: str, *args) -> None:
+        """Call routine `name` with `args`, then INFO, then a length of 1 per character argument."""
+        info = ctypes.c_int64()
+        lengths = (1,) * _SIGNATURES[name].count(ctypes.c_char_p)
+        self._routines[name](*args, ctypes.byref(info), *lengths)
+        if info.value != 0:
+            raise np.linalg.LinAlgError(f"LAPACK {name} returned info = {info.value}")
+
+    def _call_with_workspace(self, name: str, *args) -> None:
+        # The block size, and with it the bits, follows LWORK, so ask for
+        # the optimal size first, as scipy does.
+        work = np.empty(1)
+        self._call(name, *args, _doubles(work), _int(-1))
+        work = np.empty(int(work[0]))
+        self._call(name, *args, _doubles(work), _int(work.size))
+
+    def qr(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Economic pivoted QR of `x`: Q (m x k), R (k x n) and 0-based pivots."""
+        m, n = x.shape
+        k = min(m, n)
+        a = np.array(x, dtype=float, order="F")
+        jpvt = np.zeros(n, dtype=np.int64)  # zero: every column is free to pivot
+        tau = np.empty(k)
+        self._call_with_workspace("dgeqp3", _int(m), _int(n), _doubles(a), _int(m),
+                                  jpvt.ctypes.data_as(_INT), _doubles(tau))
+        r = np.triu(a[:k])
+        # Q overwrites the reflectors in place: no second m x n buffer.
+        self._call_with_workspace("dorgqr", _int(m), _int(k), _int(k), _doubles(a), _int(m),
+                                  _doubles(tau))
+        return a[:, :k], r, jpvt - 1
+
+    def solve_upper(self, r11: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``r11 z = rhs`` for upper-triangular `r11`."""
+        k = r11.shape[0]
+        b = np.array(rhs, dtype=float, order="F")
+        if (r11.dtype != np.float64 or r11.shape != (k, k)
+                or b.ndim not in (1, 2) or b.shape[0] != k):
+            raise ValueError(
+                f"{r11.dtype} {r11.shape} and {b.shape} do not form a triangular system")
+        if b.size == 0:
+            return b
+        if r11.flags.f_contiguous:
+            a, uplo, trans = r11, b"U", b"N"
+        else:
+            # Read in Fortran order, a C-order copy of R11 is R11' (lower
+            # triangular); scipy solves that transposed system here.
+            a, uplo, trans = np.ascontiguousarray(r11), b"L", b"T"
+        nrhs = 1 if b.ndim == 1 else b.shape[1]
+        self._call("dtrtrs", uplo, trans, b"N", _int(k), _int(nrhs), _doubles(a), _int(k),
+                   _doubles(b), _int(k))
+        return b
+
+
+class _ScipyLapack:
+    """The same factorization and solve through `scipy.linalg`."""
+
+    @staticmethod
+    def qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        import scipy.linalg
+
+        return scipy.linalg.qr(x, mode="economic", pivoting=True)
+
+    @staticmethod
+    def solve_upper(r11: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        import scipy.linalg
+
+        return scipy.linalg.solve_triangular(r11, rhs)
+
+
+def _load_bundled_lapack() -> _BundledLapack:
+    """Bind the routines in numpy's bundled OpenBLAS.
+
+    Raises OSError when there is no single such library next to numpy and
+    AttributeError when it lacks one of the symbols.
+    """
+    site = Path(np.__file__).resolve().parents[1]
+    paths = sorted(site.glob(_BUNDLED_OPENBLAS))
+    if len(paths) != 1:
+        raise OSError(f"no single bundled OpenBLAS at {site / _BUNDLED_OPENBLAS}")
+    library = ctypes.CDLL(str(paths[0]))
+    routines = {}
+    for name, argtypes in _SIGNATURES.items():
+        routine = getattr(library, _SYMBOL.format(name))
+        routine.argtypes, routine.restype = argtypes, None
+        routines[name] = routine
+    return _BundledLapack(routines)
+
+
+@functools.cache
+def _lapack() -> _BundledLapack | _ScipyLapack:
+    """The LAPACK route, chosen once per process: numpy's bundled OpenBLAS, else scipy."""
+    try:
+        return _load_bundled_lapack()
+    except (OSError, AttributeError):
+        return _ScipyLapack()

@@ -7,7 +7,9 @@ R-squared values print with 3 decimals, F and the information criteria with
 4 significant digits, the log-likelihood with 5, coefficients and interval
 bounds with 4 decimals, t with 3, p-values with 3 (so anything below 5e-4
 prints as "0.000").  JSON carries the full-precision values; non-finite
-numbers serialize as null.
+numbers serialize as null.  A zero is written without a sign in every
+output: a triangular solve can return -0.0 for an exactly zero coefficient,
+and ``x + 0.0`` turns it into 0.0 while leaving every other value as it is.
 """
 from __future__ import annotations
 
@@ -23,23 +25,23 @@ _WIDTH = 78
 
 
 def fmt_3f(x: float) -> str:
-    return f"{x:.3f}"
+    return f"{x + 0.0:.3f}"
 
 
 def fmt_4f(x: float) -> str:
-    return f"{x:.4f}"
+    return f"{x + 0.0:.4f}"
 
 
 def fmt_4g(x: float) -> str:
-    return "%#.4g" % x
+    return "%#.4g" % (x + 0.0)
 
 
 def fmt_5g(x: float) -> str:
-    return "%#.5g" % x
+    return "%#.5g" % (x + 0.0)
 
 
 def fmt_3g(x: float) -> str:
-    return "%#.3g" % x
+    return "%#.3g" % (x + 0.0)
 
 
 def _header_row(llabel: str, lvalue: str, rlabel: str, rvalue: str) -> str:
@@ -109,9 +111,9 @@ def _coefficient_lines(fit: FitResult) -> list[str]:
 
 
 def _clean(obj: Any) -> Any:
-    """Replace non-finite floats with None so JSON stays standard."""
+    """Replace non-finite floats with None so JSON stays standard, and -0.0 with 0.0."""
     if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
+        return obj + 0.0 if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -227,7 +229,7 @@ def diagnostics_to_dict(
 def plot_series_csv(series: PlotSeries) -> tuple[str, str]:
     """residuals.csv and measured_predicted.csv contents (full precision)."""
     residual_lines = ["fitted,residual"]
-    residual_lines += [f"{f!r},{r!r}" for f, r in series.residual_series]
+    residual_lines += [f"{f + 0.0!r},{r + 0.0!r}" for f, r in series.residual_series]
     mp_lines = ["actual,predicted"]
-    mp_lines += [f"{a!r},{p!r}" for a, p in series.measured_predicted]
+    mp_lines += [f"{a + 0.0!r},{p + 0.0!r}" for a, p in series.measured_predicted]
     return "\n".join(residual_lines) + "\n", "\n".join(mp_lines) + "\n"

@@ -498,3 +498,65 @@ class TestBlasThreads:
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert set(outputs[0]) == {"summary.txt", "fit.json"}
         assert outputs[0] == outputs[1]
+
+
+# Runs `fit`, `select` and `diagnose --select` in a fresh process, then prints
+# their exit codes, the scipy modules loaded and numpy's OpenBLAS thread count.
+NO_SCIPY_PROBE = """
+import ctypes, json, sys
+from marketval.cli import main
+data, out, (path, getter) = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+codes = [main([*command, "--input", data, "--out", f"{out}/{i}"])
+         for i, command in enumerate((["fit"], ["select"], ["diagnose", "--select"]))]
+threads = getattr(ctypes.CDLL(path), getter)
+threads.argtypes, threads.restype = [], ctypes.c_int
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy")), threads()]))
+"""
+
+
+def test_commands_load_no_scipy(synth_csv, tmp_path):
+    # numpy's own OpenBLAS runs every factorization, on one thread.
+    numpy_openblas = bundled_openblas()[0]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_PROBE, str(synth_csv), str(tmp_path),
+         json.dumps(numpy_openblas)],
+        env=child_env(), capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout) == [[EXIT_OK, EXIT_OK, EXIT_OK], [], 1]
+
+
+class TestLapackFallback:
+    """Without numpy's bundled OpenBLAS the commands run on scipy, to the same bytes."""
+
+    COMMANDS = (["fit"], ["select"], ["diagnose"], ["diagnose", "--select"])
+
+    @pytest.fixture(autouse=True)
+    def fresh_route(self):
+        numcore._lapack.cache_clear()
+        yield
+        numcore._lapack.cache_clear()
+
+    def outputs(self, data: Path, out: Path) -> dict[str, bytes]:
+        for i, command in enumerate(self.COMMANDS):
+            assert main([*command, "--input", str(data), "--out", str(out / str(i))]) == EXIT_OK
+        return {str(p.relative_to(out)): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()}
+
+    @staticmethod
+    def loader_raises():
+        raise OSError("no library")
+
+    @pytest.mark.parametrize("patch", [
+        ("_load_bundled_lapack", loader_raises),
+        ("_BUNDLED_OPENBLAS", "numpy.libs/no-such-library-*.so"),
+        ("_SYMBOL", "no_such_symbol_{}_"),
+    ], ids=["loader-raises", "library-missing", "symbol-missing"])
+    def test_scipy_route_writes_identical_files(self, synth_csv, tmp_path, monkeypatch, patch):
+        bundled = self.outputs(synth_csv, tmp_path / "bundled")
+        if not isinstance(numcore._lapack(), numcore._BundledLapack):
+            pytest.skip("numpy bundles no OpenBLAS exporting the routines here")
+        numcore._lapack.cache_clear()
+        monkeypatch.setattr(numcore, *patch)
+        fallback = self.outputs(synth_csv, tmp_path / "scipy")
+        assert isinstance(numcore._lapack(), numcore._ScipyLapack)
+        assert len(bundled) == 11
+        assert fallback == bundled

@@ -1,6 +1,7 @@
 """Matrix type and rank-revealing least squares."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marketval import numcore
 from marketval.errors import InvalidInputError
 from marketval.numcore import (
     DEFAULT_RANK_TOL,
@@ -297,3 +299,87 @@ def test_property_rss_never_exceeds_response_norm(n, p, seed):
     y = rng.normal(size=max(n, p))
     sol = least_squares_solve(a, y)
     assert sol.rss <= float(y @ y) + 1e-9 * max(1.0, float(y @ y))
+
+
+# Both LAPACK routes: numpy's bundled OpenBLAS through ctypes, and scipy.
+
+
+def bundled_lapack():
+    try:
+        return numcore._load_bundled_lapack()
+    except (OSError, AttributeError):
+        pytest.skip("numpy bundles no OpenBLAS exporting the routines here")
+
+
+def factor_and_solve(lapack, a):
+    """Everything `numcore` computes with LAPACK for `a`, on the route `lapack`.
+
+    Besides the fit's own R11 solves, it solves with the leading half of R11
+    (a non-contiguous slice) and with a Fortran-order copy of R.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numcore, "_lapack", lambda: lapack)
+        f = qr_pivoted(a)
+        out = {"q": f.q, "r": f.r, "pivots": np.array(f.permutation)}
+        variants = (f, dataclasses.replace(f, rank=f.rank // 2),
+                    dataclasses.replace(f, r=np.asfortranarray(f.r)))
+        for i, g in enumerate(variants):
+            k = g.rank
+            out[f"{i}: vector"] = g.solve_r11(np.linspace(-1.0, 2.0, k))
+            out[f"{i}: identity"] = g.solve_r11(np.eye(k))
+            out[f"{i}: r12"] = g.solve_r11(g.r[:k, k:])
+            out[f"{i}: diagonal"] = unscaled_covariance(g)
+    return out
+
+
+def assert_same_bits(a):
+    bundled = factor_and_solve(bundled_lapack(), a)
+    reference = factor_and_solve(numcore._ScipyLapack(), a)
+    assert bundled.keys() == reference.keys()
+    for key, x in bundled.items():
+        y = reference[key]
+        # Storage order too: it decides which BLAS kernel later products use.
+        assert (x.shape, x.dtype, x.flags.f_contiguous, x.flags.c_contiguous) == \
+            (y.shape, y.dtype, y.flags.f_contiguous, y.flags.c_contiguous), key
+        assert x.tobytes() == y.tobytes(), key
+
+
+@settings(max_examples=200)
+@given(awkward_designs())
+def test_property_bundled_lapack_matches_scipy_bit_for_bit(a):
+    assert_same_bits(a)
+
+
+@pytest.mark.parametrize("n, p", [(105, 90), (2000, 96), (500, 128), (30, 40), (100, 1)])
+def test_bundled_lapack_matches_scipy_on_dummy_designs(n, p):
+    # 0/1 designs with a bias column and an exact twin, as encoding makes them.
+    # Past 128 columns LAPACK blocks the QR onto matrix products, and numpy's
+    # and scipy's OpenBLAS builds differ there, so the bits are compared
+    # only up to that size.
+    rng = np.random.default_rng(n + p)
+    a = (rng.random((n, p)) < 0.3).astype(float)
+    a[:, 0] = 1.0
+    if p > 2:
+        a[:, 2] = a[:, 1]
+    assert_same_bits(a)
+
+
+def test_bundled_rank_zero_solve_makes_no_lapack_call():
+    # LAPACK requires LDA >= 1, so an empty R11 never reaches dtrtrs.
+    lapack = numcore._BundledLapack({})
+    assert lapack.solve_upper(np.empty((0, 0)), np.empty(0)).shape == (0,)
+    assert lapack.solve_upper(np.empty((0, 0)), np.empty((0, 3))).shape == (0, 3)
+    f = qr_pivoted(np.zeros((4, 3)))
+    assert f.rank == 0
+    assert f.solve_r11(np.eye(0)).shape == (0, 0)
+
+
+def test_bundled_solve_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="triangular system"):
+        bundled_lapack().solve_upper(np.eye(3), np.ones(2))
+
+
+def test_bundled_lapack_error_is_raised_not_asserted():
+    # A zero on the diagonal makes dtrtrs report INFO > 0.
+    with pytest.raises(np.linalg.LinAlgError, match="dtrtrs returned info = 2"):
+        bundled_lapack().solve_upper(np.diag([1.0, 0.0, 1.0]), np.ones(3))

@@ -10,6 +10,7 @@ import pytest
 from marketval.diagnostics import (
     BP_KOENKER,
     BP_ORIGINAL,
+    PlotSeries,
     breusch_pagan,
     mape,
     plot_series,
@@ -58,6 +59,12 @@ class TestNumberFormats:
     def test_three_significant(self):
         assert fmt_3g(4.046e-17) == "4.05e-17"
         assert fmt_3g(0.0736382701203026) == "0.0736"
+
+    @pytest.mark.parametrize("fmt", [fmt_3f, fmt_4f, fmt_4g, fmt_5g, fmt_3g])
+    def test_negative_zero_prints_without_sign(self, fmt):
+        assert fmt(-0.0) == fmt(0.0)
+        assert fmt(np.float64(-0.0)) == fmt(0.0)
+        assert not fmt(0.0).startswith("-")
 
 
 def _strong_fit(n=100, seed=11):
@@ -199,6 +206,10 @@ class TestJsonDumps:
         out = json.loads(json_dumps({"a": [(1.0, float("nan"))], "b": {"c": math.inf}}))
         assert out == {"a": [[1.0, None]], "b": {"c": None}}
 
+    def test_negative_zero_written_as_zero(self):
+        assert json_dumps({"x": [-0.0, (-0.0,)], "y": -1e-300}) == \
+            '{\n  "x": [\n    0.0,\n    [\n      0.0\n    ]\n  ],\n  "y": -1e-300\n}\n'
+
     def test_deterministic(self):
         payload = {"k": [1.5, 2.5], "m": {"z": 1, "a": 2}}
         assert json_dumps(payload) == json_dumps(payload)
@@ -320,3 +331,8 @@ class TestPlotSeriesCsv:
         a0, p0 = (float(tok) for tok in mp_lines[1].split(","))
         assert a0 == f0 + r0
         assert p0 == f0
+
+    def test_negative_zero_written_as_zero(self):
+        series = PlotSeries(residual_series=((-0.0, 1.5),), measured_predicted=((1.5, -0.0),))
+        assert plot_series_csv(series) == (
+            "fitted,residual\n0.0,1.5\n", "actual,predicted\n1.5,0.0\n")
