@@ -31,8 +31,6 @@ from .errors import (
     DegenerateResponseError,
     EmptyDatasetError,
     EncodingError,
-    InferenceUnavailableError,
-    InvalidInputError,
     MarketvalError,
     RowParseError,
     SchemaError,
@@ -206,7 +204,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (EmptyDatasetError, DegenerateResponseError, DegenerateModelError) as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_EMPTY
-    except (InvalidInputError, InferenceUnavailableError, MarketvalError, OSError) as exc:
+    except (MarketvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
 

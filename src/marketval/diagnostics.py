@@ -52,10 +52,11 @@ def breusch_pagan(fit: FitResult, variant: str = BP_KOENKER) -> BreuschPaganResu
     """Breusch-Pagan heteroscedasticity test of a fitted model.
 
     The auxiliary regression of g = e^2 / (rss/n) on the retained columns
-    plus an intercept is a projection onto the first `rank` columns of Q
-    from the fit's own pivoted QR (`fit.factors`).  Without a bias column
-    the basis gains the normalised part of the ones vector orthogonal to
-    them, when its norm reaches
+    plus an intercept is a projection onto the first `rank` columns Q1 of Q
+    from the fit's own pivoted QR (`fit.factors`): g - Q1 (Q1' g), through
+    `apply_qt` and `apply_q`.  Without a bias column the basis gains the
+    normalised part 1 - Q1 (Q1' 1) of the ones vector orthogonal to them,
+    when its norm reaches
     DEFAULT_RANK_TOL * max(|R[0, 0]|, sqrt(n)): the rank cut of a pivoted QR
     of [1, X_retained] that pivots the ones vector last.  (Where columns
     shorter than sqrt(n) carry the near-dependency, such a QR pivots the
@@ -71,20 +72,20 @@ def breusch_pagan(fit: FitResult, variant: str = BP_KOENKER) -> BreuschPaganResu
         raise InvalidInputError("Breusch-Pagan requires residual degrees of freedom")
     factors = fit.factors
     n = fit.n_obs
-    q = factors.q[:, : factors.rank]
+    rank = factors.rank
     intercept = None
     if not fit.has_bias:
-        ones = 1.0 - q @ q.sum(axis=0)
+        ones = 1.0 - factors.apply_q(factors.apply_qt(np.ones(n), width=rank))
         norm = float(np.linalg.norm(ones))
         if norm >= numcore.DEFAULT_RANK_TOL * max(abs(float(factors.r[0, 0])), math.sqrt(n)):
             intercept = ones / norm
-    df = factors.rank - (0 if intercept is not None else 1)
+    df = rank - (0 if intercept is not None else 1)
     if df < 1:
         # No non-bias regressors survived: the test statistic is 0 by construction.
         return BreuschPaganResult(lm_statistic=0.0, df=0, p_value=1.0, variant=variant)
     e2 = np.asarray(fit.residuals) ** 2
     g = e2 / (fit.rss / n) if fit.rss > 0.0 else e2
-    resid = g - q @ (q.T @ g)
+    resid = g - factors.apply_q(factors.apply_qt(g, width=rank))
     if intercept is not None:
         resid -= intercept * float(intercept @ resid)
     tss = total_sum_of_squares(g, True)

@@ -204,7 +204,7 @@ class EncodedDataset:
         kept_meta = tuple(self.columns[i] for i in keep)
         kept_names = {c.name for c in kept_meta}
         return EncodedDataset(
-            design=self.design.take_columns(keep),
+            design=Matrix(self.design.array()[:, keep]),
             columns=kept_meta,
             response=self.response,
             standardization_params=tuple(

@@ -1,11 +1,14 @@
 """Dense matrix plumbing and rank-revealing least squares.
 
-A validated immutable matrix type, a column-pivoted QR factorization with
-an explicit numerical-rank cut, a least-squares solver that zeroes the
-coefficients of collinear columns instead of failing, and the inverse-Gram
-diagonal that standard errors and VIFs are read from.  Every factorization
-and triangular solve the package makes is made here; the rank decision and
-the dropped-column bookkeeping live here too.
+The dataset's validated, read-only design type, a column-pivoted QR
+factorization with an explicit numerical-rank cut, a least-squares solver
+that zeroes the coefficients of collinear columns instead of failing, and
+the inverse-Gram diagonal that standard errors and VIFs are read from.
+Every factorization and triangular solve the package makes is made here;
+the rank decision and the dropped-column bookkeeping live here too.  Other
+modules use Q only through the products `QrFactors.apply_qt` and
+`QrFactors.apply_q`, so how a factorization stores Q is this module's
+business alone.
 
 The LAPACK routines (dgeqp3, dorgqr, dtrtrs) are called through `ctypes` in
 the OpenBLAS that numpy's pip wheel bundles, so no command imports scipy.
@@ -36,7 +39,7 @@ DEFAULT_RANK_TOL = 1e-10
 
 
 class Matrix:
-    """Immutable dense real matrix with float64 entries.
+    """Immutable dense real matrix with float64 entries: a dataset's design.
 
     Construction validates shape and rejects NaN and infinite entries, so
     downstream code can assume every `Matrix` it receives is finite.
@@ -67,15 +70,6 @@ class Matrix:
         """The underlying 2-d array (read-only view)."""
         return self._a
 
-    def column(self, j: int) -> np.ndarray:
-        return self._a[:, j]
-
-    def take_columns(self, indices) -> "Matrix":
-        return Matrix(np.take(self._a, indices, axis=1))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Matrix({self.rows}x{self.cols})"
-
 
 def as_matrix(values) -> Matrix:
     """Coerce an array-like to `Matrix`, passing instances through unchanged."""
@@ -105,6 +99,14 @@ class QrFactors:
     def retained_columns(self) -> tuple[int, ...]:
         """Original indices of the columns that survived the rank cut, ascending."""
         return tuple(sorted(self.permutation[: self.rank]))
+
+    def apply_qt(self, v: np.ndarray, width: int | None = None) -> np.ndarray:
+        """``Q'v``; with `width`, the product of Q's first `width` columns only."""
+        return self.q[:, :width].T @ v
+
+    def apply_q(self, u: np.ndarray) -> np.ndarray:
+        """``Q u`` over Q's first ``len(u)`` columns."""
+        return self.q[:, : u.shape[0]] @ u
 
     def solve_r11(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``R11 z = rhs`` for the retained block ``R11 = r[:rank, :rank]``.
@@ -172,7 +174,7 @@ def solve_from_factors(factors: QrFactors, x: Matrix, y: np.ndarray) -> LeastSqu
     p = a.shape[1]
     beta = np.zeros(p)
     if rank > 0:
-        qty = factors.q.T @ y
+        qty = factors.apply_qt(y)
         z = factors.solve_r11(qty[:rank])
         beta[list(factors.permutation[:rank])] = z
     fitted = a @ beta

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from typing import Any
 
 from .diagnostics import BreuschPaganResult, PlotSeries, VifReport
@@ -171,33 +172,13 @@ def trace_to_dict(trace: EliminationTrace) -> dict:
     return {
         "alpha": trace.alpha,
         "conforming": trace.conforming,
-        "steps": [
-            {
-                "removed_column": s.removed_column,
-                "removed_p_value": s.removed_p_value,
-                "model_after": {
-                    "k_params": s.model_after.k_params,
-                    "r_squared": s.model_after.r_squared,
-                    "adj_r_squared": s.model_after.adj_r_squared,
-                },
-            }
-            for s in trace.steps
-        ],
+        "steps": [asdict(s) for s in trace.steps],
         "final_model": {
             "k_params": trace.final_fit.k_params,
             "r_squared": trace.final_fit.r_squared,
             "adj_r_squared": trace.final_fit.adj_r_squared,
             "columns": list(trace.final_fit.column_names),
         },
-    }
-
-
-def bp_to_dict(result: BreuschPaganResult) -> dict:
-    return {
-        "lm_statistic": result.lm_statistic,
-        "df": result.df,
-        "p_value": result.p_value,
-        "variant": result.variant,
     }
 
 
@@ -210,18 +191,9 @@ def diagnostics_to_dict(
     return {
         "breusch_pagan": {
             "selected_variant": selected_variant,
-            **{variant: bp_to_dict(r) for variant, r in bp_results.items()},
+            **{variant: asdict(r) for variant, r in bp_results.items()},
         },
-        "vif": [
-            {
-                "column": e.column,
-                "r_squared_aux": e.r_squared_aux,
-                "vif": e.vif,  # null in JSON when infinite
-                "band": e.band,
-                "infinite": e.infinite,
-            }
-            for e in vif_report.entries
-        ],
+        "vif": [asdict(e) for e in vif_report.entries],  # an infinite vif is null
         "mape_percent": mape_value,
     }
 

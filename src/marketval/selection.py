@@ -4,9 +4,10 @@ The design X is factored once, X = QR.  Every later model is fitted on the
 compressed problem [R | Q'y] instead of on X: for any column subset S the
 least-squares fit of y on X_S equals the fit of Q'y on the columns S of R
 (columns in design order), and its rss is that fit's rss plus
-rho^2 = ||y - QQ'y||^2.  A step therefore factors a p x k matrix, whatever
-the number of rows (Golub & Van Loan, Matrix Computations, section 6.5;
-Miller, Subset Selection in Regression, ch. 2).
+rho^2 = ||y - QQ'y||^2, both formed once through `QrFactors.apply_qt` and
+`apply_q`.  A step therefore factors a p x k matrix, whatever the number of
+rows (Golub & Van Loan, Matrix Computations, section 6.5; Miller, Subset
+Selection in Regression, ch. 2).
 
 The compressed fit agrees with a refit of X_S only to rounding, so it
 decides a step only when rounding cannot change the decision (see
@@ -93,8 +94,8 @@ class _Compressed:
     def from_factors(cls, factors: numcore.QrFactors, y: np.ndarray) -> "_Compressed":
         r = np.empty_like(factors.r)
         r[:, list(factors.permutation)] = factors.r
-        qty = factors.q.T @ y
-        resid = y - factors.q @ qty
+        qty = factors.apply_qt(y)
+        resid = y - factors.apply_q(qty)
         return cls(r=r, qty=qty, rho2=float(resid @ resid))
 
 

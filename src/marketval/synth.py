@@ -11,7 +11,7 @@ always produces the identical dataset.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import attrgetter
 from typing import Mapping
 
@@ -209,11 +209,4 @@ def records_to_csv(records: list[PlayerRecord]) -> str:
 
 def truth_to_dict(truth: SynthTruth) -> dict:
     """JSON-ready view of the ground truth."""
-    return {
-        "seed": truth.seed,
-        "n": truth.n,
-        "intercept": truth.intercept,
-        "noise_sd": truth.noise_sd,
-        "level_effects": {a: dict(levels) for a, levels in truth.level_effects.items()},
-        "continuous_slopes": dict(truth.continuous_slopes),
-    }
+    return asdict(truth)

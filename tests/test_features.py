@@ -144,7 +144,7 @@ class TestEncodeDataset:
         data = encode_dataset([make_record(), make_record(club="Club B")])
         assert data.columns[0].name == BIAS_COLUMN_NAME
         assert data.columns[0].kind == KIND_BIAS
-        assert np.array_equal(data.design.column(0), np.ones(2))
+        assert np.array_equal(data.design.array()[:, 0], np.ones(2))
         assert data.has_bias
 
     def test_bias_column_ones_where_no_level_is_dropped(self):
@@ -222,7 +222,7 @@ class TestEncodeDataset:
         ]
         data = encode_dataset(records)
         j = data.column_names.index("card_score")
-        assert np.array_equal(data.design.column(j), np.zeros(2))
+        assert np.array_equal(data.design.array()[:, j], np.zeros(2))
         params = next(
             p for p in data.standardization_params if p.column == "card_score"
         )
@@ -315,6 +315,7 @@ class TestEncodeDataset:
         data = encode_dataset(records)
         sub = data.select_columns([0, len(data.columns) - 1])
         assert sub.column_names == (BIAS_COLUMN_NAME, "card_score")
+        assert np.array_equal(sub.design.array(), data.design.array()[:, [0, -1]])
         assert sub.has_bias
         assert len(sub.standardization_params) == 1
 

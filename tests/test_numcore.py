@@ -34,7 +34,7 @@ class TestMatrix:
         m = Matrix([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         assert m.rows == 3
         assert m.cols == 2
-        assert m.column(1).tolist() == [2.0, 4.0, 6.0]
+        assert m.array()[:, 1].tolist() == [2.0, 4.0, 6.0]
 
     def test_rejects_one_dimensional(self):
         with pytest.raises(InvalidInputError):
@@ -54,11 +54,6 @@ class TestMatrix:
         m = Matrix([[1.0, 2.0]])
         with pytest.raises(ValueError):
             m.array()[0, 0] = 9.0
-
-    def test_take_columns(self):
-        m = Matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        sub = m.take_columns([0, 2])
-        assert sub.array().tolist() == [[1.0, 3.0], [4.0, 6.0]]
 
     def test_as_matrix_passthrough(self):
         m = Matrix([[1.0]])

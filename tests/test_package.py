@@ -59,3 +59,15 @@ def test_only_numcore_imports_scipy():
             if any(m.split(".")[0] == "scipy" for m in modules):
                 importers.append(path.stem)
     assert set(importers) == {"numcore"}
+
+
+def test_only_numcore_reads_q():
+    # Other modules multiply by Q through `QrFactors.apply_qt` and `apply_q`,
+    # so how a factorization stores Q can change inside `numcore` alone.
+    readers = {
+        path.stem
+        for path in (SRC / "marketval").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "q"
+    }
+    assert readers <= {"numcore"}

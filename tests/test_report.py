@@ -18,7 +18,6 @@ from marketval.diagnostics import (
 )
 from marketval.ols import fit_ols
 from marketval.report import (
-    bp_to_dict,
     diagnostics_to_dict,
     fit_to_dict,
     fmt_3f,
@@ -276,14 +275,18 @@ class TestDiagnosticsPayloads:
 
     def test_bp_to_dict(self):
         fit, data = self._fit_and_data()
-        res = breusch_pagan(fit)
-        d = bp_to_dict(res)
-        assert d == {
-            "lm_statistic": res.lm_statistic,
-            "df": res.df,
-            "p_value": res.p_value,
-            "variant": BP_KOENKER,
+        results = {
+            BP_KOENKER: breusch_pagan(fit, variant=BP_KOENKER),
+            BP_ORIGINAL: breusch_pagan(fit, variant=BP_ORIGINAL),
         }
+        d = diagnostics_to_dict(results, BP_KOENKER, vif(data), 0.0)
+        for variant, res in results.items():
+            assert d["breusch_pagan"][variant] == {
+                "lm_statistic": res.lm_statistic,
+                "df": res.df,
+                "p_value": res.p_value,
+                "variant": variant,
+            }
 
     def test_diagnostics_to_dict(self):
         fit, data = self._fit_and_data()
@@ -298,6 +301,7 @@ class TestDiagnosticsPayloads:
         assert d["breusch_pagan"]["selected_variant"] == BP_KOENKER
         assert set(d["breusch_pagan"]) == {"selected_variant", BP_KOENKER, BP_ORIGINAL}
         assert [e["column"] for e in d["vif"]] == ["x1", "x2"]
+        assert set(d["vif"][0]) == {"column", "r_squared_aux", "vif", "band", "infinite"}
         assert d["mape_percent"] == m
         json_dumps(d)
 
