@@ -38,7 +38,7 @@ from .errors import (
 from .features import EncodedDataset, encode_dataset
 from .ingest import FilterConfig, apply_filters, parse_players_csv
 from .ols import FitResult, fit_ols
-from .selection import backward_eliminate
+from .selection import EliminationTrace, backward_eliminate
 from .synth import generate_players, records_to_csv, truth_to_dict
 
 EXIT_OK = 0
@@ -48,17 +48,18 @@ EXIT_NO_CONFORMING_MODEL = 4
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    filters = FilterConfig()
     p.add_argument("--input", required=True, help="player CSV file")
     p.add_argument("--out", default=".", help="output directory (default: current)")
     p.add_argument("--format", choices=("text", "json", "both"), default="both",
                    help="which fit reports to write")
     p.add_argument("--confidence", type=float, default=0.95,
                    help="confidence level for coefficient intervals")
-    p.add_argument("--min-minutes", type=int, default=1000)
-    p.add_argument("--min-value", type=float, default=20.0,
+    p.add_argument("--min-minutes", type=int, default=filters.min_minutes)
+    p.add_argument("--min-value", type=float, default=filters.min_market_value_m_eur,
                    help="minimum market value in millions of euros")
-    p.add_argument("--age-min", type=int, default=20)
-    p.add_argument("--age-max", type=int, default=34)
+    p.add_argument("--age-min", type=int, default=filters.min_age)
+    p.add_argument("--age-max", type=int, default=filters.max_age)
     p.add_argument("--keep-mid-season", action="store_true",
                    help="keep players who transferred mid-season")
 
@@ -130,6 +131,15 @@ def _write_fit_outputs(fit: FitResult, out_dir: Path, fmt: str) -> None:
         _write(out_dir / "fit.json", report.json_dumps(report.fit_to_dict(fit)))
 
 
+def _elimination_exit(trace: EliminationTrace) -> int:
+    """EXIT_OK for a conforming trace; otherwise say why on stderr and return 4."""
+    if trace.conforming:
+        return EXIT_OK
+    print("no conforming model: every column was eliminated down to one "
+          f"with p > {trace.alpha}", file=sys.stderr)
+    return EXIT_NO_CONFORMING_MODEL
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args)
     fit = fit_ols(dataset, confidence_level=args.confidence)
@@ -143,28 +153,18 @@ def cmd_select(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     _write_fit_outputs(trace.final_fit, out_dir, args.format)
     _write(out_dir / "trace.json", report.json_dumps(report.trace_to_dict(trace)))
-    if not trace.conforming:
-        print("no conforming model: every column was eliminated down to one "
-              f"with p > {trace.alpha}", file=sys.stderr)
-        return EXIT_NO_CONFORMING_MODEL
-    return EXIT_OK
+    return _elimination_exit(trace)
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args)
-    exit_code = EXIT_OK
     if args.select:
         trace = backward_eliminate(dataset, args.alpha, confidence_level=args.confidence)
         fit, model_data = trace.final_fit, trace.final_data
-        if not trace.conforming:
-            exit_code = EXIT_NO_CONFORMING_MODEL
     else:
-        model_data = dataset
+        trace, model_data = None, dataset
         fit = fit_ols(model_data, confidence_level=args.confidence)
-    bp_results = {
-        variant: diag.breusch_pagan(fit, variant)
-        for variant in (diag.BP_KOENKER, diag.BP_ORIGINAL)
-    }
+    bp_results = diag.breusch_pagan(fit)
     vif_report = diag.vif(model_data, fit.factors)
     actual = model_data.response
     mape_value = diag.mape(actual, fit.fitted)
@@ -179,7 +179,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     residuals_csv, mp_csv = report.plot_series_csv(series)
     _write(out_dir / "residuals.csv", residuals_csv)
     _write(out_dir / "measured_predicted.csv", mp_csv)
-    return exit_code
+    return EXIT_OK if trace is None else _elimination_exit(trace)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

@@ -48,8 +48,8 @@ class VifReport:
     entries: tuple[VifEntry, ...]
 
 
-def breusch_pagan(fit: FitResult, variant: str = BP_KOENKER) -> BreuschPaganResult:
-    """Breusch-Pagan heteroscedasticity test of a fitted model.
+def breusch_pagan(fit: FitResult) -> dict[str, BreuschPaganResult]:
+    """Breusch-Pagan heteroscedasticity test of a fitted model, both variants.
 
     The auxiliary regression of g = e^2 / (rss/n) on the retained columns
     plus an intercept is a projection onto the first `rank` columns Q1 of Q
@@ -61,13 +61,12 @@ def breusch_pagan(fit: FitResult, variant: str = BP_KOENKER) -> BreuschPaganResu
     of [1, X_retained] that pivots the ones vector last.  (Where columns
     shorter than sqrt(n) carry the near-dependency, such a QR pivots the
     ones vector first and cuts one of them instead, further from exact
-    dependency, so near the cut it can report one df less.)  koenker takes
-    LM = n * R^2_aux, original LM = ESS_aux / 2 (R^2 does not depend on the
-    scale of g); a constant g gives LM = 0.  p = chi2_sf(LM, df),
+    dependency, so near the cut it can report one df less.)  The one
+    projection gives both variants, keyed BP_KOENKER and BP_ORIGINAL:
+    koenker LM = n * R^2_aux, original LM = ESS_aux / 2 (R^2 does not depend
+    on the scale of g); a constant g gives LM = 0.  p = chi2_sf(LM, df),
     df = basis width - 1.  The null hypothesis is homoscedasticity.
     """
-    if variant not in (BP_KOENKER, BP_ORIGINAL):
-        raise InvalidInputError(f"unknown variant {variant!r}")
     if fit.df_resid < 1:
         raise InvalidInputError("Breusch-Pagan requires residual degrees of freedom")
     factors = fit.factors
@@ -82,7 +81,7 @@ def breusch_pagan(fit: FitResult, variant: str = BP_KOENKER) -> BreuschPaganResu
     df = rank - (0 if intercept is not None else 1)
     if df < 1:
         # No non-bias regressors survived: the test statistic is 0 by construction.
-        return BreuschPaganResult(lm_statistic=0.0, df=0, p_value=1.0, variant=variant)
+        return {v: BreuschPaganResult(0.0, 0, 1.0, v) for v in (BP_KOENKER, BP_ORIGINAL)}
     e2 = np.asarray(fit.residuals) ** 2
     g = e2 / (fit.rss / n) if fit.rss > 0.0 else e2
     resid = g - factors.apply_q(factors.apply_qt(g, width=rank))
@@ -91,14 +90,10 @@ def breusch_pagan(fit: FitResult, variant: str = BP_KOENKER) -> BreuschPaganResu
     tss = total_sum_of_squares(g, True)
     rss = float(resid @ resid)
     if tss <= 0.0:
-        lm = 0.0
-    elif variant == BP_KOENKER:
-        lm = n * r_squared(rss, tss)
+        lms = {BP_KOENKER: 0.0, BP_ORIGINAL: 0.0}
     else:
-        lm = max(0.0, tss - rss) / 2.0
-    return BreuschPaganResult(
-        lm_statistic=float(lm), df=df, p_value=chi2_sf(float(lm), df), variant=variant
-    )
+        lms = {BP_KOENKER: n * r_squared(rss, tss), BP_ORIGINAL: max(0.0, tss - rss) / 2.0}
+    return {v: BreuschPaganResult(lm, df, chi2_sf(lm, df), v) for v, lm in lms.items()}
 
 
 def _band(vif_value: float) -> str:

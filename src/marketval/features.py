@@ -204,7 +204,7 @@ class EncodedDataset:
         kept_meta = tuple(self.columns[i] for i in keep)
         kept_names = {c.name for c in kept_meta}
         return EncodedDataset(
-            design=Matrix(self.design.array()[:, keep]),
+            design=Matrix(np.take(self.design.array(), keep, axis=1)),
             columns=kept_meta,
             response=self.response,
             standardization_params=tuple(

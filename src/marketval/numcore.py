@@ -93,7 +93,11 @@ class QrFactors:
     r: np.ndarray
     permutation: tuple[int, ...]
     rank: int
-    dropped_columns: tuple[int, ...]
+
+    @property
+    def dropped_columns(self) -> tuple[int, ...]:
+        """Original indices of the columns the rank cut dropped, ascending."""
+        return tuple(sorted(self.permutation[self.rank :]))
 
     @property
     def retained_columns(self) -> tuple[int, ...]:
@@ -156,9 +160,7 @@ def qr_pivoted(x) -> QrFactors:
     else:
         below = np.nonzero(diag < DEFAULT_RANK_TOL * diag[0])[0]
         rank = int(below[0]) if below.size else int(diag.size)
-    permutation = tuple(int(j) for j in piv)
-    dropped = tuple(sorted(permutation[rank:]))
-    return QrFactors(q=q, r=r, permutation=permutation, rank=rank, dropped_columns=dropped)
+    return QrFactors(q=q, r=r, permutation=tuple(int(j) for j in piv), rank=rank)
 
 
 def solve_from_factors(factors: QrFactors, x: Matrix, y: np.ndarray) -> LeastSquaresSolution:

@@ -171,7 +171,7 @@ def test_criterion_04_distribution_accuracy():
 def test_criterion_05_heteroscedasticity_test_calibration_and_power():
     with _criterion(5, "LM test: hand value, null size, power", 60.0):
         fit, data = bp_hand_case()
-        res = breusch_pagan(fit, BP_KOENKER)
+        res = breusch_pagan(fit)[BP_KOENKER]
         assert abs(res.lm_statistic - 3.2) <= 1e-9
         assert abs(res.p_value - 0.0736382701203026) <= 1e-6
 
@@ -182,7 +182,7 @@ def test_criterion_05_heteroscedasticity_test_calibration_and_power():
             design = np.column_stack([np.ones(100), rng.normal(size=(100, 3))])
             y = design @ beta + rng.normal(size=100)
             d = dataset_from_arrays(design, y)
-            if breusch_pagan(fit_ols(d)).p_value < 0.05:
+            if breusch_pagan(fit_ols(d))[BP_KOENKER].p_value < 0.05:
                 rejections += 1
         size = rejections / 1000.0
         assert 0.03 <= size <= 0.07, f"null rejection rate {size}"
@@ -193,7 +193,7 @@ def test_criterion_05_heteroscedasticity_test_calibration_and_power():
             x = rng.uniform(1.0, 10.0, size=200)
             y = 1.0 + 2.0 * x + rng.normal(size=200) * np.sqrt(x)
             d = dataset_from_arrays(np.column_stack([np.ones(200), x]), y)
-            if breusch_pagan(fit_ols(d)).p_value < 0.05:
+            if breusch_pagan(fit_ols(d))[BP_KOENKER].p_value < 0.05:
                 hits += 1
         power = hits / 500.0
         assert power >= 0.80, f"power {power}"

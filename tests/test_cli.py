@@ -9,6 +9,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,10 +22,13 @@ from marketval.cli import (
     EXIT_SCHEMA,
     main,
 )
-from marketval.features import EncodedDataset
-from marketval.ingest import parse_players_csv
+from marketval.diagnostics import BP_KOENKER, BP_ORIGINAL
+from marketval.features import EncodedDataset, encode_dataset
+from marketval.ingest import CSV_HEADER, FilterConfig, apply_filters, parse_players_csv
+from marketval.selection import backward_eliminate
 from marketval.synth import generate_players, records_to_csv
 from conftest import child_env
+from oracles import breusch_pagan_by_aux_regression
 
 SEED_ARGS = ["--seed", "42", "--n", "105"]
 
@@ -288,6 +292,59 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--input", str(data / "synth.csv"), "--out", str(out),
                      "--select", "--alpha", alpha]) == EXIT_OK
         assert json.loads((out / "diagnostics.json").read_text())["vif"] == vif
+
+    def test_select_without_conforming_model_says_why(self, tmp_path, synth_csv, capsys):
+        args = ["--input", str(synth_csv), "--alpha", "1e-300"]
+        assert main(["select", *args, "--out", str(tmp_path / "s")]) == EXIT_NO_CONFORMING_MODEL
+        select_err = capsys.readouterr().err
+        out = tmp_path / "d"
+        assert main(["diagnose", "--select", *args, "--out", str(out)]) == \
+            EXIT_NO_CONFORMING_MODEL
+        assert capsys.readouterr().err == select_err == (
+            "no conforming model: every column was eliminated down to one with p > 1e-300\n")
+        for name in ("diagnostics.json", "residuals.csv", "measured_predicted.csv"):
+            assert (out / name).stat().st_size > 0, name
+
+    @staticmethod
+    def two_league_csv() -> bytes:
+        """60 players who differ only in league, counts and value.
+
+        The baseline league is worth about 0.02, the other league either
+        about 1000 or below 1: elimination removes `const` and keeps the
+        league dummy, so the final model has no bias column.  The spread
+        within each group keeps e^2 from being a function of the league.
+        """
+        rng = np.random.default_rng(18)
+        lines = [",".join(CSV_HEADER)]
+        for i in range(60):
+            if i < 30:
+                league, value = "L1", 0.02 * rng.uniform(0.5, 1.5)
+            elif i % 2:
+                league, value = "L2", 1000.0 * rng.uniform(0.8, 1.2)
+            else:
+                league, value = "L2", rng.uniform(0.01, 1.0)
+            goals, assists, yellows = rng.integers(0, 10, size=3)
+            lines.append(f"P{i:02d},{league},C,25,180,right,X,Y,30,{goals},{assists},"
+                         f"{yellows},0,0,2000,{value:.6f},0")
+        return ("\n".join(lines) + "\n").encode()
+
+    def test_select_without_bias_matches_aux_regression(self, tmp_path):
+        data = tmp_path / "two_leagues.csv"
+        data.write_bytes(self.two_league_csv())
+        out = tmp_path / "d"
+        assert main(["diagnose", "--select", "--input", str(data), "--out", str(out),
+                     "--min-value", "0"]) == EXIT_OK
+        bp = json.loads((out / "diagnostics.json").read_text())["breusch_pagan"]
+        records = apply_filters(parse_players_csv(data.read_bytes()),
+                                FilterConfig(min_market_value_m_eur=0.0)).accepted
+        trace = backward_eliminate(encode_dataset(records), 0.1)
+        assert trace.final_data.column_names == ("league=L2",)
+        assert not trace.final_fit.has_bias
+        for variant in (BP_KOENKER, BP_ORIGINAL):
+            slow = breusch_pagan_by_aux_regression(trace.final_fit, trace.final_data, variant)
+            assert bp[variant]["df"] == slow.df == 1
+            assert bp[variant]["lm_statistic"] == pytest.approx(slow.lm_statistic, rel=1e-9)
+        assert bp[BP_KOENKER]["lm_statistic"] < 59.0  # n R^2 < n: R^2 < 1
 
     def test_deterministic_outputs(self, tmp_path, synth_csv):
         a, b = tmp_path / "a", tmp_path / "b"

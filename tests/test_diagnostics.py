@@ -73,7 +73,7 @@ class TestBreuschPagan:
     def test_hand_example_koenker(self):
         # e = [1,-1,2,-2] on x = [1,2,3,4]: aux R^2 = 36/45 = 0.8, LM = 3.2.
         fit, data = bp_hand_case()
-        result = breusch_pagan(fit, BP_KOENKER)
+        result = breusch_pagan(fit)[BP_KOENKER]
         assert result.lm_statistic == pytest.approx(3.2, abs=1e-10)
         assert result.df == 1
         assert result.p_value == pytest.approx(0.0736382701203026, abs=1e-9)
@@ -82,7 +82,7 @@ class TestBreuschPagan:
     def test_hand_example_original(self):
         # g = e^2/(rss/n) = [0.4, 0.4, 1.6, 1.6]: ESS = 1.152, LM = 0.576.
         fit, data = bp_hand_case()
-        result = breusch_pagan(fit, BP_ORIGINAL)
+        result = breusch_pagan(fit)[BP_ORIGINAL]
         assert result.lm_statistic == pytest.approx(0.576, abs=1e-10)
         assert result.df == 1
         assert result.p_value == pytest.approx(chi2_sf(0.576, 1), abs=1e-12)
@@ -91,7 +91,7 @@ class TestBreuschPagan:
         design = np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
         data = dataset_from_arrays(design, [1.0, 1.0, 1.0, 1.0])
         fit = fit_with_residuals(data, [1.0, -1.0, 1.0, -1.0])
-        result = breusch_pagan(fit, BP_KOENKER)
+        result = breusch_pagan(fit)[BP_KOENKER]
         assert result.lm_statistic == 0.0
         assert result.p_value == 1.0
 
@@ -100,7 +100,7 @@ class TestBreuschPagan:
         fit, data = bp_hand_case()
         fit = fit_with_residuals(data, [0.0, 0.0, 0.0, 0.0])
         for variant in (BP_KOENKER, BP_ORIGINAL):
-            result = breusch_pagan(fit, variant)
+            result = breusch_pagan(fit)[variant]
             assert (result.lm_statistic, result.df, result.p_value) == (0.0, 1, 1.0)
 
     def test_p_value_identity(self):
@@ -111,7 +111,7 @@ class TestBreuschPagan:
         data = dataset_from_arrays(x, y)
         fit = fit_ols(data)
         for variant in (BP_KOENKER, BP_ORIGINAL):
-            r = breusch_pagan(fit, variant)
+            r = breusch_pagan(fit)[variant]
             assert r.p_value == pytest.approx(chi2_sf(r.lm_statistic, r.df), abs=1e-14)
             assert r.df == 2
 
@@ -131,7 +131,7 @@ class TestBreuschPagan:
         ess = float(np.sum((aux_fitted - e2.mean()) ** 2))
         tss = float(np.sum((e2 - e2.mean()) ** 2))
         expected_lm = 60 * ess / tss
-        result = breusch_pagan(fit, BP_KOENKER)
+        result = breusch_pagan(fit)[BP_KOENKER]
         assert result.lm_statistic == pytest.approx(expected_lm, rel=1e-8)
         assert result.df == 3
 
@@ -146,13 +146,13 @@ class TestBreuschPagan:
         g = np.asarray(fit.residuals) ** 2 / sigma2_ml
         beta, *_ = np.linalg.lstsq(x, g, rcond=None)
         ess = float(np.sum((x @ beta - g.mean()) ** 2))
-        result = breusch_pagan(fit, BP_ORIGINAL)
+        result = breusch_pagan(fit)[BP_ORIGINAL]
         assert result.lm_statistic == pytest.approx(ess / 2.0, rel=1e-8)
 
     def test_bias_only_model_degenerate(self):
         data = dataset_from_arrays(np.ones((6, 1)), [1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
         fit = fit_ols(data)
-        result = breusch_pagan(fit)
+        result = breusch_pagan(fit)[BP_KOENKER]
         assert result.lm_statistic == 0.0
         assert result.df == 0
         assert result.p_value == 1.0
@@ -166,7 +166,7 @@ class TestBreuschPagan:
         data = dataset_from_arrays(x, y, names=["const", "x1", "x2", "x3"])
         fit = fit_ols(data)
         assert len(fit.dropped_columns) == 1
-        result = breusch_pagan(fit)
+        result = breusch_pagan(fit)[BP_KOENKER]
         assert result.df == 2  # aux uses the retained non-bias columns only
 
     def test_model_without_bias_gets_aux_intercept(self):
@@ -175,13 +175,14 @@ class TestBreuschPagan:
         y = x @ np.array([1.0, 2.0]) + rng.normal(size=40)
         data = dataset_from_arrays(x, y, bias=False)
         fit = fit_ols(data)
-        result = breusch_pagan(fit)
+        result = breusch_pagan(fit)[BP_KOENKER]
         assert result.df == 2  # both columns count; the added intercept does not
 
-    def test_variant_validation(self):
+    def test_both_variants_from_one_call(self):
         fit, data = bp_hand_case()
-        with pytest.raises(InvalidInputError):
-            breusch_pagan(fit, "white")
+        results = breusch_pagan(fit)
+        assert list(results) == [BP_KOENKER, BP_ORIGINAL]
+        assert [r.variant for r in results.values()] == [BP_KOENKER, BP_ORIGINAL]
 
     def test_requires_residual_df(self):
         design = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -356,7 +357,7 @@ class TestBreuschPaganAgainstAuxRegression:
         pivots = np.abs(np.diag(factors.r))
         well_conditioned = pivots[0] <= 1e3 * pivots[factors.rank - 1]
         for variant in (BP_KOENKER, BP_ORIGINAL):
-            fast = breusch_pagan(fit, variant)
+            fast = breusch_pagan(fit)[variant]
             slow = breusch_pagan_by_aux_regression(fit, data, variant)
             assert fast.df == slow.df, (fast, slow)
             if well_conditioned:
@@ -387,7 +388,7 @@ class TestBreuschPaganAgainstAuxRegression:
         fit = fit_ols(data)
         assert fit.dropped_columns == ()
         for variant in (BP_KOENKER, BP_ORIGINAL):
-            fast = breusch_pagan(fit, variant)
+            fast = breusch_pagan(fit)[variant]
             slow = breusch_pagan_by_aux_regression(fit, data, variant)
             assert fast.df == slow.df == df
             assert fast.lm_statistic == pytest.approx(slow.lm_statistic, rel=1e-9)
@@ -402,7 +403,7 @@ class TestBreuschPaganAgainstAuxRegression:
         fit = fit_ols(data)
         assert fit.dropped_columns == ()
         for variant in (BP_KOENKER, BP_ORIGINAL):
-            assert breusch_pagan(fit, variant).df == df
+            assert breusch_pagan(fit)[variant].df == df
             assert breusch_pagan_by_aux_regression(fit, data, variant).df == 1
 
 

@@ -275,10 +275,7 @@ class TestDiagnosticsPayloads:
 
     def test_bp_to_dict(self):
         fit, data = self._fit_and_data()
-        results = {
-            BP_KOENKER: breusch_pagan(fit, variant=BP_KOENKER),
-            BP_ORIGINAL: breusch_pagan(fit, variant=BP_ORIGINAL),
-        }
+        results = breusch_pagan(fit)
         d = diagnostics_to_dict(results, BP_KOENKER, vif(data), 0.0)
         for variant, res in results.items():
             assert d["breusch_pagan"][variant] == {
@@ -290,10 +287,7 @@ class TestDiagnosticsPayloads:
 
     def test_diagnostics_to_dict(self):
         fit, data = self._fit_and_data()
-        results = {
-            BP_KOENKER: breusch_pagan(fit, variant=BP_KOENKER),
-            BP_ORIGINAL: breusch_pagan(fit, variant=BP_ORIGINAL),
-        }
+        results = breusch_pagan(fit)
         report = vif(data)
         y = np.asarray(data.response)
         m = mape(list(y), [float(v) for v in fit.fitted])
