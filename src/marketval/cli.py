@@ -47,43 +47,44 @@ EXIT_SCHEMA = 3
 EXIT_NO_CONFORMING_MODEL = 4
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    filters = FilterConfig()
-    p.add_argument("--input", required=True, help="player CSV file")
-    p.add_argument("--out", default=".", help="output directory (default: current)")
-    p.add_argument("--format", choices=("text", "json", "both"), default="both",
-                   help="which fit reports to write")
-    p.add_argument("--confidence", type=float, default=0.95,
-                   help="confidence level for coefficient intervals")
-    p.add_argument("--min-minutes", type=int, default=filters.min_minutes)
-    p.add_argument("--min-value", type=float, default=filters.min_market_value_m_eur,
-                   help="minimum market value in millions of euros")
-    p.add_argument("--age-min", type=int, default=filters.min_age)
-    p.add_argument("--age-max", type=int, default=filters.max_age)
-    p.add_argument("--keep-mid-season", action="store_true",
-                   help="keep players who transferred mid-season")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    filters = FilterConfig()
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--input", required=True, help="player CSV file")
+    inputs.add_argument("--out", default=".", help="output directory (default: current)")
+    inputs.add_argument("--min-minutes", type=int, default=filters.min_minutes)
+    inputs.add_argument("--min-value", type=float, default=filters.min_market_value_m_eur,
+                        help="minimum market value in millions of euros")
+    inputs.add_argument("--age-min", type=int, default=filters.min_age)
+    inputs.add_argument("--age-max", type=int, default=filters.max_age)
+    inputs.add_argument("--keep-mid-season", action="store_true",
+                        help="keep players who transferred mid-season")
+    fit_report = argparse.ArgumentParser(add_help=False)
+    fit_report.add_argument("--format", choices=("text", "json", "both"), default="both",
+                            help="which fit reports to write")
+    fit_report.add_argument("--confidence", type=float, default=0.95,
+                            help="confidence level for coefficient intervals")
+    elimination = argparse.ArgumentParser(add_help=False)
+    elimination.add_argument("--alpha", type=float, default=0.1,
+                             help="significance level for elimination "
+                                  "(diagnose reads it only with --select)")
+
     parser = argparse.ArgumentParser(
         prog="marketval",
         description="Market-value regression pipeline for football player data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit the full model and write its report")
-    _add_common_flags(p_fit)
+    p_fit = sub.add_parser("fit", parents=[inputs, fit_report],
+                           help="fit the full model and write its report")
     p_fit.set_defaults(handler=cmd_fit)
 
-    p_select = sub.add_parser("select", help="backward elimination, then report the final model")
-    _add_common_flags(p_select)
-    p_select.add_argument("--alpha", type=float, default=0.1,
-                          help="significance level for elimination")
+    p_select = sub.add_parser("select", parents=[inputs, fit_report, elimination],
+                              help="backward elimination, then report the final model")
     p_select.set_defaults(handler=cmd_select)
 
-    p_diag = sub.add_parser("diagnose", help="heteroscedasticity, VIF and MAPE diagnostics")
-    _add_common_flags(p_diag)
-    p_diag.add_argument("--alpha", type=float, default=0.1)
+    p_diag = sub.add_parser("diagnose", parents=[inputs, elimination],
+                            help="heteroscedasticity, VIF and MAPE diagnostics")
     p_diag.add_argument("--select", action="store_true",
                         help="diagnose the backward-eliminated model instead of the full one")
     p_diag.add_argument("--bp-variant", choices=(diag.BP_KOENKER, diag.BP_ORIGINAL),
@@ -159,11 +160,11 @@ def cmd_select(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args)
     if args.select:
-        trace = backward_eliminate(dataset, args.alpha, confidence_level=args.confidence)
+        trace = backward_eliminate(dataset, args.alpha)
         fit, model_data = trace.final_fit, trace.final_data
     else:
         trace, model_data = None, dataset
-        fit = fit_ols(model_data, confidence_level=args.confidence)
+        fit = fit_ols(model_data)
     bp_results = diag.breusch_pagan(fit)
     vif_report = diag.vif(model_data, fit.factors)
     actual = model_data.response

@@ -83,6 +83,8 @@ MAX_INT_DIGITS = 18
 
 
 def _parse_int(cell: str, row: int, column: str) -> int:
+    if len(cell) <= MAX_INT_DIGITS and cell.isdigit() and cell.isascii():
+        return int(cell)  # the common cell: plain ASCII digits, nothing to check
     text = cell.strip()
     sign_stripped = text[1:] if text[:1] in "+-" else text
     # str.isdigit alone also accepts digits such as "²" that int() rejects.
@@ -159,13 +161,6 @@ def _csv_rows(data: bytes) -> Iterator[tuple[int, list[str]]]:
         raise RowParseError(reader.line_num, "row", str(exc)) from None
 
 
-def _int_cell(cell: str, row: int, column: str) -> int:
-    """`_parse_int`, with plain cells of at most 18 ASCII digits sent straight to int()."""
-    if len(cell) <= MAX_INT_DIGITS and cell.isdigit() and cell.isascii():
-        return int(cell)
-    return _parse_int(cell, row, column)
-
-
 def parse_players_csv(data: bytes) -> list[PlayerRecord]:
     """Parse a UTF-8 player CSV into records.
 
@@ -198,18 +193,18 @@ def parse_players_csv(data: bytes) -> list[PlayerRecord]:
                 name.strip(),
                 league.strip(),
                 club.strip(),
-                _int_cell(age, line, "age"),
-                _int_cell(height_cm, line, "height_cm"),
+                _parse_int(age, line, "age"),
+                _parse_int(height_cm, line, "height_cm"),
                 foot.strip(),
                 nationality.strip(),
                 outfitter.strip(),
-                _int_cell(matches_played, line, "matches_played"),
-                _int_cell(goals, line, "goals"),
-                _int_cell(assists, line, "assists"),
-                _int_cell(yellow_cards, line, "yellow_cards"),
-                _int_cell(second_yellow_cards, line, "second_yellow_cards"),
-                _int_cell(red_cards, line, "red_cards"),
-                _int_cell(minutes_played, line, "minutes_played"),
+                _parse_int(matches_played, line, "matches_played"),
+                _parse_int(goals, line, "goals"),
+                _parse_int(assists, line, "assists"),
+                _parse_int(yellow_cards, line, "yellow_cards"),
+                _parse_int(second_yellow_cards, line, "second_yellow_cards"),
+                _parse_int(red_cards, line, "red_cards"),
+                _parse_int(minutes_played, line, "minutes_played"),
                 _parse_float(market_value_m_eur, line, "market_value_m_eur"),
                 _parse_flag(mid_season_transfer, line, "mid_season_transfer"),
             )

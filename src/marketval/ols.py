@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,8 +25,6 @@ from .errors import (
     InvalidInputError,
 )
 from .features import EncodedDataset
-
-COVARIANCE_TYPE = "nonrobust"
 
 # rss below this fraction of TSS is treated as an exact fit.
 _PERFECT_FIT_RATIO = 1e-28
@@ -73,7 +72,7 @@ class FitResult:
     inference_available: bool
     likelihood_available: bool
     factors: numcore.QrFactors = field(compare=False, repr=False)
-    covariance_type: str = COVARIANCE_TYPE
+    covariance_type: ClassVar[str] = "nonrobust"
 
     @property
     def dropped_columns(self) -> tuple[str, ...]:

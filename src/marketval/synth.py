@@ -11,6 +11,8 @@ always produces the identical dataset.
 """
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import asdict, dataclass
 from operator import attrgetter
 from typing import Mapping
@@ -200,11 +202,27 @@ def _csv_cell(value) -> str:
 
 
 def records_to_csv(records: list[PlayerRecord]) -> str:
-    """Render records as a schema-conformant CSV string."""
+    """Render records as a schema-conformant CSV string.
+
+    The `csv` module writes it in the dialect `parse_players_csv` reads, so
+    a text cell that holds a comma, a double quote or a line feed is quoted.
+    Market values are written with three decimals and flags as 0/1.  That
+    writer leaves a lone carriage return unquoted, which the reader rejects,
+    so a text cell that holds one raises `InvalidInputError`.
+    """
     fields = attrgetter(*CSV_HEADER)
-    lines = [",".join(CSV_HEADER)]
-    lines.extend(",".join(map(_csv_cell, fields(r))) for r in records)
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    writer.writerows(map(_csv_cell, fields(r)) for r in records)
+    text = out.getvalue()
+    if "\r" in text:
+        record, column = next((r, c) for r in records for c in CSV_HEADER
+                              if "\r" in _csv_cell(getattr(r, c)))
+        raise InvalidInputError(
+            f"player {record.name!r}: column {column!r} holds a carriage return"
+        )
+    return text
 
 
 def truth_to_dict(truth: SynthTruth) -> dict:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: files written, exit codes, determinism."""
 from __future__ import annotations
 
+import argparse
 import ctypes
 import json
 import os
@@ -20,6 +21,7 @@ from marketval.cli import (
     EXIT_NO_CONFORMING_MODEL,
     EXIT_OK,
     EXIT_SCHEMA,
+    build_parser,
     main,
 )
 from marketval.diagnostics import BP_KOENKER, BP_ORIGINAL
@@ -435,6 +437,62 @@ class TestConfidenceFlag:
         text = (out / "summary.txt").read_text()
         assert "[0.050" in text
         assert "0.950]" in text
+
+
+def declared_flags() -> list[tuple[str, str]]:
+    """(command, flag) for every option a subcommand declares but --input, --out and -h."""
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return [(command, action.option_strings[-1])
+            for command, sub in commands.items() for action in sub._actions
+            if action.option_strings[-1] not in ("--help", "--input", "--out")]
+
+
+class TestEveryFlagIsRead:
+    """Each flag a command accepts changes the files it writes or its exit code."""
+
+    # A value other than the default for every flag; each filter value
+    # excludes a few of the 105 synth players.
+    NON_DEFAULT = {
+        "--format": ["--format", "text"],
+        "--confidence": ["--confidence", "0.5"],
+        "--min-minutes": ["--min-minutes", "1100"],
+        "--min-value": ["--min-value", "75"],
+        "--age-min": ["--age-min", "21"],
+        "--age-max": ["--age-max", "33"],
+        "--keep-mid-season": ["--keep-mid-season"],
+        "--alpha": ["--alpha", "0.01"],
+        "--select": ["--select"],
+        "--bp-variant": ["--bp-variant", "original"],
+        "--seed": ["--seed", "7"],
+        "--n": ["--n", "50"],
+    }
+    # Flags a flag takes effect with, in both runs.
+    WITH = {("diagnose", "--alpha"): ["--select"]}
+
+    @staticmethod
+    def run(argv: list[str], out: Path) -> tuple[int, dict[str, bytes]]:
+        code = main([*argv, "--out", str(out)])
+        return code, {str(p.relative_to(out)): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()}
+
+    @pytest.mark.parametrize("command, flag", declared_flags())
+    def test_flag_changes_the_output(self, tmp_path, synth_csv, command, flag):
+        assert flag in self.NON_DEFAULT, f"no non-default value listed for {command} {flag}"
+        base = [command, *(["--seed", "42"] if command == "synth" else ["--input", str(synth_csv)]),
+                *self.WITH.get((command, flag), [])]
+        default = self.run(base, tmp_path / "default")
+        changed = self.run([*base, *self.NON_DEFAULT[flag]], tmp_path / "changed")
+        assert changed != default
+
+    @pytest.mark.parametrize("flag", [["--format", "text"], ["--confidence", "0.5"]],
+                             ids=["format", "confidence"])
+    def test_diagnose_rejects_fit_report_flags(self, tmp_path, synth_csv, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", "--input", str(synth_csv), "--out", str(tmp_path / "d"), *flag])
+        assert exc.value.code == EXIT_EMPTY
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
 
 class TestArbitraryInput:

@@ -1,9 +1,14 @@
 """Seeded synthetic data generator and its ground-truth sidecar."""
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from marketval.errors import InvalidInputError
+from marketval.features import PlayerRecord
 from marketval.ingest import apply_filters, parse_players_csv
 from marketval.synth import (
     CLUBS,
@@ -90,3 +95,36 @@ class TestGeneratePlayers:
         _, truth = generate_players(3, 30)
         payload = json.dumps(truth_to_dict(truth))
         assert "goal_contribution" in payload
+
+
+# Text cells as the reader returns them (stripped), rich in the characters
+# CSV quoting must handle; no carriage return, which has its own test.
+TEXT = st.text(st.one_of(st.sampled_from(',"\n\x00é Ω'),
+                         st.characters(exclude_characters="\r"))).map(str.strip)
+COUNT = st.integers(0, 10**18 - 1)
+RECORDS = st.lists(st.builds(
+    PlayerRecord,
+    name=TEXT, league=TEXT, club=TEXT,
+    age=st.integers(15, 10**18 - 1), height_cm=st.integers(140, 220),
+    foot=st.sampled_from(FEET), nationality=TEXT, outfitter=TEXT,
+    matches_played=COUNT, goals=COUNT, assists=COUNT, yellow_cards=COUNT,
+    second_yellow_cards=COUNT, red_cards=COUNT, minutes_played=COUNT,
+    # The writer keeps three decimals, so values on the 0.001 grid come back exactly.
+    market_value_m_eur=st.integers(1, 10**12).map(lambda k: k / 1000),
+    mid_season_transfer=st.booleans(),
+), max_size=5)
+
+
+class TestRecordsToCsv:
+    @given(records=RECORDS)
+    def test_parser_reads_back_what_it_writes(self, records):
+        assert parse_players_csv(records_to_csv(records).encode("utf-8")) == records
+
+    @pytest.mark.parametrize("column", ["name", "club"])
+    def test_carriage_return_names_player_and_column(self, column):
+        record = generate_players(1, 1)[0][0]
+        bad = dataclasses.replace(record, **{column: "x\ry"})
+        with pytest.raises(InvalidInputError) as exc:
+            records_to_csv([record, bad])
+        assert str(exc.value) == (
+            f"player {bad.name!r}: column {column!r} holds a carriage return")
