@@ -169,7 +169,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     vif_report = diag.vif(model_data, fit.factors)
     actual = model_data.response
     mape_value = diag.mape(actual, fit.fitted)
-    series = diag.plot_series(fit)
+    series = diag.plot_series(fit, actual)
     out_dir = Path(args.out)
     _write(
         out_dir / "diagnostics.json",

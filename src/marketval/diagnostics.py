@@ -52,39 +52,29 @@ def breusch_pagan(fit: FitResult) -> dict[str, BreuschPaganResult]:
     """Breusch-Pagan heteroscedasticity test of a fitted model, both variants.
 
     The auxiliary regression of g = e^2 / (rss/n) on the retained columns
-    plus an intercept is a projection onto the first `rank` columns Q1 of Q
-    from the fit's own pivoted QR (`fit.factors`): g - Q1 (Q1' g), through
-    `apply_qt` and `apply_q`.  Without a bias column the basis gains the
-    normalised part 1 - Q1 (Q1' 1) of the ones vector orthogonal to them,
-    when its norm reaches
-    DEFAULT_RANK_TOL * max(|R[0, 0]|, sqrt(n)): the rank cut of a pivoted QR
-    of [1, X_retained] that pivots the ones vector last.  (Where columns
-    shorter than sqrt(n) carry the near-dependency, such a QR pivots the
-    ones vector first and cuts one of them instead, further from exact
-    dependency, so near the cut it can report one df less.)  The one
-    projection gives both variants, keyed BP_KOENKER and BP_ORIGINAL:
-    koenker LM = n * R^2_aux, original LM = ESS_aux / 2 (R^2 does not depend
-    on the scale of g); a constant g gives LM = 0.  p = chi2_sf(LM, df),
-    df = basis width - 1.  The null hypothesis is homoscedasticity.
+    plus an intercept is a projection onto their span from the fit's own
+    pivoted QR (`fit.factors`): g's residual is `QrFactors.residual`.
+    Without a bias column the basis gains the direction
+    `QrFactors.new_direction` finds for the ones vector, unless the rank cut
+    takes it as lying in that span.  The one projection gives both
+    variants, keyed BP_KOENKER and BP_ORIGINAL: koenker LM = n * R^2_aux,
+    original LM = ESS_aux / 2 (R^2 does not depend on the scale of g); a
+    constant g gives LM = 0.  p = chi2_sf(LM, df), df = basis width - 1.
+    The null hypothesis is homoscedasticity.
     """
     if fit.df_resid < 1:
         raise InvalidInputError("Breusch-Pagan requires residual degrees of freedom")
     factors = fit.factors
     n = fit.n_obs
     rank = factors.rank
-    intercept = None
-    if not fit.has_bias:
-        ones = 1.0 - factors.apply_q(factors.apply_qt(np.ones(n), width=rank))
-        norm = float(np.linalg.norm(ones))
-        if norm >= numcore.DEFAULT_RANK_TOL * max(abs(float(factors.r[0, 0])), math.sqrt(n)):
-            intercept = ones / norm
+    intercept = None if fit.has_bias else factors.new_direction(np.ones(n))
     df = rank - (0 if intercept is not None else 1)
     if df < 1:
         # No non-bias regressors survived: the test statistic is 0 by construction.
         return {v: BreuschPaganResult(0.0, 0, 1.0, v) for v in (BP_KOENKER, BP_ORIGINAL)}
     e2 = np.asarray(fit.residuals) ** 2
     g = e2 / (fit.rss / n) if fit.rss > 0.0 else e2
-    resid = g - factors.apply_q(factors.apply_qt(g, width=rank))
+    resid = factors.residual(g)
     if intercept is not None:
         resid -= intercept * float(intercept @ resid)
     tss = total_sum_of_squares(g, True)
@@ -123,12 +113,9 @@ def vif(data: EncodedDataset, factors: numcore.QrFactors | None = None) -> VifRe
     An entry is flagged infinite, with r_squared_aux = 1.0, when the column
 
     (a) is constant (S_j = 0);
-    (b) was dropped by the rank cut (`numcore.DEFAULT_RANK_TOL`);
-    (c) sits in a dependency the rank cut took as exact: for some dropped
-        column d, |(R11^{-1} R12)_jd| * ||e_j|| >= DEFAULT_RANK_TOL * |R[0, 0]|,
-        where ||e_j|| = 1/sqrt([(X'X)^{-1}]_jj) is the residual norm of
-        column j on the other retained columns.  Without column j, column d
-        would no longer fall inside the rank cut; or
+    (b), (c) lies in a dependency the rank cut took as exact
+        (`QrFactors.collinear_columns`): it was dropped, or it is a retained
+        partner of a dropped column; or
     (d) has VIF_j >= 1e12, which is R^2_j >= 1 - 1e-12.
 
     Otherwise r_squared_aux = 1 - 1/VIF_j, with VIF_j clamped to >= 1.  A
@@ -150,17 +137,8 @@ def vif(data: EncodedDataset, factors: numcore.QrFactors | None = None) -> VifRe
     a = data.design.array()
     if factors is None:
         factors = numcore.qr_pivoted(data.design)
-    rank = factors.rank
-    pivoted = list(factors.permutation[:rank])
     inv_gram = numcore.unscaled_covariance(factors)
-    infinite = np.zeros(a.shape[1], dtype=bool)
-    infinite[list(factors.dropped_columns)] = True  # (b)
-    if 0 < rank < a.shape[1]:
-        r = factors.r
-        # Row i: coefficients of retained column pivoted[i] in each dropped column.
-        coef = factors.solve_r11(r[:rank, rank:])
-        weight = np.abs(coef).max(axis=1) / np.sqrt(inv_gram[pivoted])
-        infinite[pivoted] |= weight >= numcore.DEFAULT_RANK_TOL * abs(r[0, 0])  # (c)
+    infinite = factors.collinear_columns(inv_gram)  # (b), (c)
 
     entries: list[VifEntry] = []
     for j in non_bias:
@@ -194,12 +172,15 @@ class PlotSeries:
     measured_predicted: tuple[tuple[float, float], ...]  # (actual, predicted)
 
 
-def plot_series(fit: FitResult) -> PlotSeries:
-    """Residual-vs-fitted and measured-vs-predicted pairs for plotting."""
+def plot_series(fit: FitResult, actual) -> PlotSeries:
+    """Residual-vs-fitted and measured-vs-predicted pairs for plotting.
+
+    `actual` is the response the model was fitted to, as `mape` reads it;
+    fitted + residual can differ from it in the last digits.
+    """
     fitted = np.asarray(fit.fitted)
     resid = np.asarray(fit.residuals)
-    actual = fitted + resid
     return PlotSeries(
         residual_series=tuple((float(f), float(r)) for f, r in zip(fitted, resid)),
-        measured_predicted=tuple((float(a), float(f)) for a, f in zip(actual, fitted)),
+        measured_predicted=tuple((float(a), float(f)) for a, f in zip(actual, fitted, strict=True)),
     )

@@ -239,34 +239,44 @@ def chi2_sf(x: float, df: int) -> float:
     return _reg_inc_gamma(df / 2.0, x / 2.0)[1]
 
 
-def student_t_quantile(q: float, df: int) -> float:
-    """Quantile of the Student t distribution by numeric CDF inversion.
+def t_critical_value(tail: float, df: int) -> float:
+    """The t >= 0 whose two-sided tail ``P(|T| >= t)`` is `tail`.
 
-    Bisection on the two-sided tail; the bracket is narrowed until the
-    quantile is resolved to ~1e-12 relative, well inside the 1e-10 target.
+    Taking the tail mass instead of a probability level keeps levels near 1
+    exact: the 1 - 1e-16 interval's tail is 1.1e-16, while its quantile
+    level (1 + c)/2 rounds to 1.0.  Bisection on `t_two_sided_p`; the
+    bracket is narrowed until t is resolved to ~1e-12 relative, well inside
+    the 1e-10 target.  A tail of 1 gives 0.0.
     """
     _check_df(df, "df")
-    if not 0.0 < q < 1.0:
-        raise DomainError("quantile level must be in (0, 1)")
-    if q == 0.5:
+    if not 0.0 < tail <= 1.0:
+        raise DomainError("two-sided tail mass must be in (0, 1]")
+    if tail == 1.0:
         return 0.0
-    if q < 0.5:
-        return -student_t_quantile(1.0 - q, df)
-    target = 2.0 * (1.0 - q)  # two-sided p at the sought quantile
     lo, hi = 0.0, 1.0
-    while t_two_sided_p(hi, df) > target:
+    while t_two_sided_p(hi, df) > tail:
         lo = hi
         hi *= 2.0
         if hi > 1e300:
-            raise DomainError("quantile level too extreme to bracket")
+            raise DomainError("tail mass too small to bracket")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if t_two_sided_p(mid, df) > target:
+        if t_two_sided_p(mid, df) > tail:
             lo = mid
         else:
             hi = mid
         if hi - lo <= 1e-12 * max(1.0, hi):
             break
     return 0.5 * (lo + hi)
+
+
+def student_t_quantile(q: float, df: int) -> float:
+    """Quantile of the Student t distribution: `t_critical_value` of the tail 2(1 - q)."""
+    _check_df(df, "df")
+    if not 0.0 < q < 1.0:
+        raise DomainError("quantile level must be in (0, 1)")
+    if q < 0.5:
+        return -student_t_quantile(1.0 - q, df)
+    return t_critical_value(2.0 * (1.0 - q), df)

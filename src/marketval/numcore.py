@@ -6,9 +6,10 @@ that zeroes the coefficients of collinear columns instead of failing, and
 the inverse-Gram diagonal that standard errors and VIFs are read from.
 Every factorization and triangular solve the package makes is made here;
 the rank decision and the dropped-column bookkeeping live here too.  Other
-modules use Q only through the products `QrFactors.apply_qt` and
-`QrFactors.apply_q`, so how a factorization stores Q is this module's
-business alone.
+modules read a factorization only through `QrFactors` methods and its
+`rank`, `retained_columns` and `dropped_columns`: none of them reads Q, R,
+the pivot order or the rank tolerance, so the rank rule and how a
+factorization stores Q and R are this module's business alone.
 
 The LAPACK routines (dgeqp3, dorgqr, dtrtrs) are called through `ctypes` in
 the OpenBLAS that numpy's pip wheel bundles, so no command imports scipy.
@@ -104,13 +105,70 @@ class QrFactors:
         """Original indices of the columns that survived the rank cut, ascending."""
         return tuple(sorted(self.permutation[: self.rank]))
 
-    def apply_qt(self, v: np.ndarray, width: int | None = None) -> np.ndarray:
-        """``Q'v``; with `width`, the product of Q's first `width` columns only."""
-        return self.q[:, :width].T @ v
+    def residual(self, v: np.ndarray) -> np.ndarray:
+        """``v - Q1 (Q1' v)``: the part of `v` orthogonal to the retained columns.
 
-    def apply_q(self, u: np.ndarray) -> np.ndarray:
-        """``Q u`` over Q's first ``len(u)`` columns."""
-        return self.q[:, : u.shape[0]] @ u
+        Q1 is Q's first `rank` columns, the basis of the retained columns' span.
+        """
+        q1 = self.q[:, : self.rank]
+        return v - q1 @ (q1.T @ v)
+
+    def new_direction(self, v: np.ndarray) -> np.ndarray | None:
+        """Unit vector that `v` adds to the retained columns' span, or None.
+
+        None when the residual of `v` on the retained columns is shorter than
+        ``DEFAULT_RANK_TOL * max(|R[0, 0]|, ||v||)``: the rank cut of a
+        pivoted QR of [X_retained, v] that pivots `v` last.  (Where columns
+        shorter than ||v|| carry the near-dependency, such a QR pivots `v`
+        first and cuts one of them instead, further from exact dependency,
+        so near the cut this can return None where that QR keeps one more
+        column.)
+        """
+        u = self.residual(v)
+        norm = float(np.linalg.norm(u))
+        if norm < DEFAULT_RANK_TOL * max(abs(float(self.r[0, 0])), float(np.linalg.norm(v))):
+            return None
+        return u / norm
+
+    def compress(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """R with its columns in input order, ``Q'y`` and ``rho^2 = ||y - QQ'y||^2``.
+
+        For any column subset S, the least-squares fit of `y` on the input's
+        columns S equals the fit of ``Q'y`` on the columns S of the returned
+        R, and its rss is that fit's rss plus rho^2.
+        """
+        r = np.empty_like(self.r)
+        r[:, list(self.permutation)] = self.r
+        qty = self.q.T @ y
+        resid = y - self.q @ qty
+        return r, qty, float(resid @ resid)
+
+    def well_conditioned(self, limit: float) -> bool:
+        """Full rank, and ``|R[0, 0]| <= limit * |R[k-1, k-1]|`` over all k columns."""
+        pivots = np.abs(np.diag(self.r))
+        return self.rank == len(self.permutation) and pivots[0] <= limit * pivots[-1]
+
+    def collinear_columns(self, inv_gram: np.ndarray) -> np.ndarray:
+        """Mask, by input column, of the columns in a dependency the rank cut took as exact.
+
+        `inv_gram` is `unscaled_covariance(self)`.  Column j is flagged when it
+
+        (b) was dropped by the rank cut; or
+        (c) was retained and, for some dropped column d,
+            |(R11^{-1} R12)_jd| * ||e_j|| >= DEFAULT_RANK_TOL * |R[0, 0]|,
+            where ||e_j|| = 1/sqrt(inv_gram[j]) is the residual norm of
+            column j on the other retained columns.  Without column j,
+            column d would no longer fall inside the rank cut.
+        """
+        mask = np.zeros(len(self.permutation), dtype=bool)
+        mask[list(self.dropped_columns)] = True
+        if 0 < self.rank < len(self.permutation):
+            pivoted = list(self.permutation[: self.rank])
+            # Row i: coefficients of retained column pivoted[i] in each dropped column.
+            coef = self.solve_r11(self.r[: self.rank, self.rank :])
+            weight = np.abs(coef).max(axis=1) / np.sqrt(inv_gram[pivoted])
+            mask[pivoted] |= weight >= DEFAULT_RANK_TOL * abs(self.r[0, 0])
+        return mask
 
     def solve_r11(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``R11 z = rhs`` for the retained block ``R11 = r[:rank, :rank]``.
@@ -140,8 +198,9 @@ def qr_pivoted(x) -> QrFactors:
 
     Column ``i`` (in pivot order) is dropped when
     ``|r[i, i]| < DEFAULT_RANK_TOL * |r[0, 0]|``.  The tolerance is fixed
-    because Breusch-Pagan's intercept cut and VIF's collinearity rule are
-    measured against the same one.
+    because `QrFactors.new_direction` (Breusch-Pagan's intercept cut) and
+    `QrFactors.collinear_columns` (VIF's collinearity rule) are measured
+    against the same one.
 
     Parameters
     ----------
@@ -176,7 +235,7 @@ def solve_from_factors(factors: QrFactors, x: Matrix, y: np.ndarray) -> LeastSqu
     p = a.shape[1]
     beta = np.zeros(p)
     if rank > 0:
-        qty = factors.apply_qt(y)
+        qty = factors.q.T @ y
         z = factors.solve_r11(qty[:rank])
         beta[list(factors.permutation[:rank])] = z
     fitted = a @ beta

@@ -213,7 +213,7 @@ def fit_ols(data: EncodedDataset, confidence_level: float = 0.95) -> FitResult:
     if inference_available:
         sigma2 = rss / df_resid
         inv_gram = numcore.unscaled_covariance(factors)
-        tq = distributions.student_t_quantile((1.0 + confidence_level) / 2.0, df_resid)
+        tq = distributions.t_critical_value(1.0 - confidence_level, df_resid)
         for j in factors.retained_columns:
             se = math.sqrt(sigma2 * inv_gram[j])
             std_errors[j] = se

@@ -4,10 +4,10 @@ The design X is factored once, X = QR.  Every later model is fitted on the
 compressed problem [R | Q'y] instead of on X: for any column subset S the
 least-squares fit of y on X_S equals the fit of Q'y on the columns S of R
 (columns in design order), and its rss is that fit's rss plus
-rho^2 = ||y - QQ'y||^2, both formed once through `QrFactors.apply_qt` and
-`apply_q`.  A step therefore factors a p x k matrix, whatever the number of
-rows (Golub & Van Loan, Matrix Computations, section 6.5; Miller, Subset
-Selection in Regression, ch. 2).
+rho^2 = ||y - QQ'y||^2, all three formed once by `QrFactors.compress`.  A
+step therefore factors a p x k matrix, whatever the number of rows (Golub &
+Van Loan, Matrix Computations, section 6.5; Miller, Subset Selection in
+Regression, ch. 2).
 
 The compressed fit agrees with a refit of X_S only to rounding, so it
 decides a step only when rounding cannot change the decision (see
@@ -82,44 +82,29 @@ def _worst_retained(fit: FitResult) -> _Worst | None:
     return j, float(fit.p_values[j])
 
 
-@dataclass(frozen=True)
-class _Compressed:
-    """[R | Q'y] of the full design, R's columns in design order, and rho^2."""
-
-    r: np.ndarray
-    qty: np.ndarray
-    rho2: float
-
-    @classmethod
-    def from_factors(cls, factors: numcore.QrFactors, y: np.ndarray) -> "_Compressed":
-        r = np.empty_like(factors.r)
-        r[:, list(factors.permutation)] = factors.r
-        qty = factors.apply_qt(y)
-        resid = y - factors.apply_q(qty)
-        return cls(r=r, qty=qty, rho2=float(resid @ resid))
-
-
 def _compressed_state(
-    data: EncodedDataset, keep: list[int], compressed: _Compressed, alpha: float
+    data: EncodedDataset, keep: list[int],
+    compressed: tuple[np.ndarray, np.ndarray, float], alpha: float,
 ) -> tuple[_Worst, ModelSummary] | None:
     """Worst column and summary of the model on `keep`, from [R | Q'y].
 
-    Returns None, leaving the step to a refit, unless the decision is
-    certified: the compressed columns have full rank with
-    |r_00 / r_kk| <= MAX_COMPRESSED_CONDITION, and the worst p-value is
-    more than `_DECISION_MARGIN` (relative) away from both the runner-up
-    and alpha.  Only the two smallest |t| get a p-value: at fixed degrees
-    of freedom p falls as |t| rises.
+    `compressed` is the full design's `QrFactors.compress`.  Returns None,
+    leaving the step to a refit, unless the decision is certified: the
+    factors of the compressed columns are
+    `QrFactors.well_conditioned(MAX_COMPRESSED_CONDITION)`, and the worst
+    p-value is more than `_DECISION_MARGIN` (relative) away from both the
+    runner-up and alpha.  Only the two smallest |t| get a p-value: at fixed
+    degrees of freedom p falls as |t| rises.
     """
+    r, qty, rho2 = compressed
     k = len(keep)
     df_resid = data.design.rows - k
-    x = numcore.Matrix(compressed.r[:, keep])
+    x = numcore.Matrix(r[:, keep])
     factors = numcore.qr_pivoted(x)
-    pivots = np.abs(np.diag(factors.r))
-    if factors.rank < k or df_resid < 1 or pivots[0] > MAX_COMPRESSED_CONDITION * pivots[k - 1]:
+    if df_resid < 1 or not factors.well_conditioned(MAX_COMPRESSED_CONDITION):
         return None
-    solution = numcore.solve_from_factors(factors, x, compressed.qty)
-    rss = solution.rss + compressed.rho2
+    solution = numcore.solve_from_factors(factors, x, qty)
+    rss = solution.rss + rho2
     if rss <= 0.0:
         return None
     t = solution.coefficients / np.sqrt(rss / df_resid * numcore.unscaled_covariance(factors))
@@ -169,7 +154,7 @@ def backward_eliminate(
             "initial fit has no residual degrees of freedom; cannot rank p-values"
         )
     fit_data: EncodedDataset | None = data
-    compressed = _Compressed.from_factors(fit.factors, data.response)
+    compressed = fit.factors.compress(data.response)
     keep = list(range(data.design.cols))
     worst = _worst_retained(fit)
     k_params = fit.k_params

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import os
 import sys
 from pathlib import Path
@@ -64,3 +65,12 @@ def child_env(**threads: str) -> dict[str, str]:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env.update(threads)
     return env
+
+
+def snapshot_tool():
+    """The module `tools/snapshot_outputs.py`, which is not on the import path."""
+    spec = importlib.util.spec_from_file_location(
+        "snapshot_outputs", SRC.parent / "tools" / "snapshot_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import json
 import os
 import subprocess
@@ -26,10 +27,10 @@ from marketval.cli import (
 )
 from marketval.diagnostics import BP_KOENKER, BP_ORIGINAL
 from marketval.features import EncodedDataset, encode_dataset
-from marketval.ingest import CSV_HEADER, FilterConfig, apply_filters, parse_players_csv
+from marketval.ingest import FilterConfig, apply_filters, parse_players_csv
 from marketval.selection import backward_eliminate
 from marketval.synth import generate_players, records_to_csv
-from conftest import child_env
+from conftest import child_env, snapshot_tool
 from oracles import breusch_pagan_by_aux_regression
 
 SEED_ARGS = ["--seed", "42", "--n", "105"]
@@ -307,32 +308,10 @@ class TestDiagnoseCommand:
         for name in ("diagnostics.json", "residuals.csv", "measured_predicted.csv"):
             assert (out / name).stat().st_size > 0, name
 
-    @staticmethod
-    def two_league_csv() -> bytes:
-        """60 players who differ only in league, counts and value.
-
-        The baseline league is worth about 0.02, the other league either
-        about 1000 or below 1: elimination removes `const` and keeps the
-        league dummy, so the final model has no bias column.  The spread
-        within each group keeps e^2 from being a function of the league.
-        """
-        rng = np.random.default_rng(18)
-        lines = [",".join(CSV_HEADER)]
-        for i in range(60):
-            if i < 30:
-                league, value = "L1", 0.02 * rng.uniform(0.5, 1.5)
-            elif i % 2:
-                league, value = "L2", 1000.0 * rng.uniform(0.8, 1.2)
-            else:
-                league, value = "L2", rng.uniform(0.01, 1.0)
-            goals, assists, yellows = rng.integers(0, 10, size=3)
-            lines.append(f"P{i:02d},{league},C,25,180,right,X,Y,30,{goals},{assists},"
-                         f"{yellows},0,0,2000,{value:.6f},0")
-        return ("\n".join(lines) + "\n").encode()
-
     def test_select_without_bias_matches_aux_regression(self, tmp_path):
         data = tmp_path / "two_leagues.csv"
-        data.write_bytes(self.two_league_csv())
+        # 60 players whose eliminated model keeps a league dummy and no bias column.
+        data.write_text(snapshot_tool().no_bias_csv())
         out = tmp_path / "d"
         assert main(["diagnose", "--select", "--input", str(data), "--out", str(out),
                      "--min-value", "0"]) == EXIT_OK
@@ -437,6 +416,36 @@ class TestConfidenceFlag:
         text = (out / "summary.txt").read_text()
         assert "[0.050" in text
         assert "0.950]" in text
+
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    def test_level_next_to_one_widens_the_intervals(self, tmp_path, command):
+        # (1 + c)/2 rounds to 1.0 at the larger level; its tail 1 - c does not vanish.
+        assert main(["synth", "--seed", "1", "--out", str(tmp_path)]) == EXIT_OK
+        widths = []
+        for level in ("0.999999999999999", "0.9999999999999999"):
+            out = tmp_path / level
+            assert main([command, "--input", str(tmp_path / "synth.csv"), "--out", str(out),
+                         "--confidence", level, "--format", "json"]) == EXIT_OK
+            columns = json.loads((out / "fit.json").read_text())["columns"]
+            widths.append([c["ci_high"] - c["ci_low"] for c in columns if not c["dropped"]])
+        assert widths[0] and all(b > a for a, b in zip(*widths))
+
+
+class TestMeasuredPredicted:
+    def test_measured_column_is_the_response(self, tmp_path):
+        # Values more than 2x apart, as in the paper: fitted + residual
+        # rounds away from 3 of them.
+        rng = np.random.default_rng(1)
+        records, _ = generate_players(1, 105)
+        values = rng.choice([20.5, 31.7, 65.0, 120.9, 180.3], size=len(records))
+        data = tmp_path / "values.csv"
+        data.write_text(records_to_csv([dataclasses.replace(r, market_value_m_eur=float(v))
+                                        for r, v in zip(records, values)]))
+        out = tmp_path / "d"
+        assert main(["diagnose", "--input", str(data), "--out", str(out)]) == EXIT_OK
+        accepted = apply_filters(parse_players_csv(data.read_bytes()), FilterConfig()).accepted
+        rows = (out / "measured_predicted.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [r.market_value_m_eur for r in accepted]
 
 
 def declared_flags() -> list[tuple[str, str]]:

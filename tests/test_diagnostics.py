@@ -503,7 +503,7 @@ class TestPlotSeries:
             [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]], [0.0, 1.0, 1.0]
         )
         fit = fit_ols(data)
-        series = plot_series(fit)
+        series = plot_series(fit, data.response)
         residuals = [r for _, r in series.residual_series]
         assert residuals == pytest.approx([-1 / 6, 1 / 3, -1 / 6], abs=1e-12)
         for (actual, predicted), y in zip(series.measured_predicted, data.response):
@@ -515,7 +515,7 @@ class TestPlotSeries:
         x[:, 0] = 1.0
         y = x @ np.array([1.0, -1.0, 2.0]) + rng.normal(size=20)
         fit = fit_ols(dataset_from_arrays(x, y))
-        series = plot_series(fit)
+        series = plot_series(fit, y)
         assert len(series.residual_series) == 20
         assert len(series.measured_predicted) == 20
         for (f, r), (a, p) in zip(series.residual_series, series.measured_predicted):
@@ -528,7 +528,7 @@ class TestPlotSeries:
         x[:, 0] = 1.0
         y = rng.normal(size=30) * 5.0 + 10.0
         fit = fit_ols(dataset_from_arrays(x, y))
-        series = plot_series(fit)
+        series = plot_series(fit, y)
         total = sum(r for _, r in series.residual_series)
         assert abs(total) < 1e-8 * max(1.0, float(np.abs(y).max()))
 
@@ -536,5 +536,5 @@ class TestPlotSeries:
         x = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
         y = 1.0 + 2.0 * x[:, 1]
         fit = fit_ols(dataset_from_arrays(x, y))
-        series = plot_series(fit)
+        series = plot_series(fit, y)
         assert all(abs(r) < 1e-12 for _, r in series.residual_series)

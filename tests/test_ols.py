@@ -368,7 +368,7 @@ class TestCoefficientTable:
         def no_quantile(*args):
             raise AssertionError("stored intervals should be reused")
 
-        monkeypatch.setattr(distributions, "student_t_quantile", no_quantile)
+        monkeypatch.setattr(distributions, "t_critical_value", no_quantile)
         rows = coefficient_table(fit)
         assert [r.ci_low for r in rows] == list(fit.ci_low)
         assert [r.ci_high for r in rows] == list(fit.ci_high)

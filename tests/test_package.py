@@ -61,13 +61,24 @@ def test_only_numcore_imports_scipy():
     assert set(importers) == {"numcore"}
 
 
+def _internal_read(node: ast.AST) -> str | None:
+    """The `QrFactors` internal or rank tolerance that `node` reads, if any."""
+    if isinstance(node, ast.Attribute) and node.attr in ("q", "r", "permutation", "solve_r11"):
+        return node.attr
+    name = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}.get(type(node))
+    if name and getattr(node, name) == "DEFAULT_RANK_TOL":
+        return "DEFAULT_RANK_TOL"
+    return None
+
+
 def test_only_numcore_reads_q():
-    # Other modules multiply by Q through `QrFactors.apply_qt` and `apply_q`,
-    # so how a factorization stores Q can change inside `numcore` alone.
+    # Other modules read a factorization only through `QrFactors` methods, so
+    # the rank rule and how Q and R are stored can change inside `numcore` alone.
     readers = {
-        path.stem
+        (path.stem, _internal_read(node))
         for path in (SRC / "marketval").glob("*.py")
+        if path.stem != "numcore"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-        if isinstance(node, ast.Attribute) and node.attr == "q"
+        if _internal_read(node)
     }
-    assert readers <= {"numcore"}
+    assert readers == set()

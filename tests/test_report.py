@@ -315,7 +315,7 @@ class TestDiagnosticsPayloads:
 class TestPlotSeriesCsv:
     def test_headers_and_round_trip(self):
         fit = _strong_fit()
-        series = plot_series(fit)
+        series = plot_series(fit, fit.fitted + fit.residuals)
         residuals_csv, mp_csv = plot_series_csv(series)
         res_lines = residuals_csv.strip().split("\n")
         mp_lines = mp_csv.strip().split("\n")

@@ -17,7 +17,6 @@ from marketval.ingest import apply_filters, parse_players_csv
 from marketval.ols import fit_ols
 from marketval.selection import (
     MAX_COMPRESSED_CONDITION,
-    _Compressed,
     _compressed_state,
     _worst_retained,
     backward_eliminate,
@@ -421,7 +420,7 @@ class TestWorstRetained:
 
 def compressed_state(data, keep, alpha):
     factors = numcore.qr_pivoted(data.design)
-    return _compressed_state(data, keep, _Compressed.from_factors(factors, data.response), alpha)
+    return _compressed_state(data, keep, factors.compress(data.response), alpha)
 
 
 class TestCompressedStepCertification:
