@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import InvalidInputError, OutOfRangeError
-from .numcore import Matrix
+from .numcore import Matrix, read_only
 
 KIND_BIAS = "bias"
 KIND_ENCODED = "encoded"
@@ -184,7 +184,7 @@ class EncodedDataset:
             if not indicator.all():
                 bad = self.columns[encoded[int(np.argmin(indicator))]]
                 raise InvalidInputError(f"encoded column {bad.name!r} must be 0/1")
-        object.__setattr__(self, "response", _read_only(self.response))
+        object.__setattr__(self, "response", read_only(self.response))
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -203,8 +203,10 @@ class EncodedDataset:
             raise InvalidInputError("column selection must be strictly increasing")
         kept_meta = tuple(self.columns[i] for i in keep)
         kept_names = {c.name for c in kept_meta}
+        design = np.take(self.design.array(), keep, axis=1)
+        design.setflags(write=False)
         return EncodedDataset(
-            design=Matrix(np.take(self.design.array(), keep, axis=1)),
+            design=Matrix(design),
             columns=kept_meta,
             response=self.response,
             standardization_params=tuple(
@@ -212,12 +214,6 @@ class EncodedDataset:
             ),
             dropped_levels=self.dropped_levels,
         )
-
-
-def _read_only(v) -> np.ndarray:
-    a = np.array(v, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 def _extract_naming_player(extract, record: PlayerRecord):
@@ -295,6 +291,7 @@ def encode_dataset(records: list[PlayerRecord]) -> EncodedDataset:
         metas.append(ColumnMeta(attr, KIND_CONTINUOUS, attr))
 
     response = np.fromiter(map(attrgetter("market_value_m_eur"), records), dtype=float, count=n)
+    design.setflags(write=False)
     return EncodedDataset(
         design=Matrix(design),
         columns=tuple(metas),

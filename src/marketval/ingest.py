@@ -3,31 +3,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 from .errors import EncodingError, InvalidInputError, RowParseError, SchemaError
 from .features import PlayerRecord
 
-CSV_HEADER = (
-    "name",
-    "league",
-    "club",
-    "age",
-    "height_cm",
-    "foot",
-    "nationality",
-    "outfitter",
-    "matches_played",
-    "goals",
-    "assists",
-    "yellow_cards",
-    "second_yellow_cards",
-    "red_cards",
-    "minutes_played",
-    "market_value_m_eur",
-    "mid_season_transfer",
-)
+# The header of a player CSV: `PlayerRecord`'s fields, in order.
+CSV_HEADER = tuple(f.name for f in fields(PlayerRecord))
 
 RULE_AGE = "age"
 RULE_TRANSFER = "mid_season_transfer"

@@ -39,24 +39,38 @@ from .errors import InvalidInputError
 DEFAULT_RANK_TOL = 1e-10
 
 
+def read_only(values) -> np.ndarray:
+    """`values` as a read-only C-ordered float64 array, copied unless it is one already.
+
+    An array that is already read-only, float64 and C-ordered is returned
+    as is, so its holders share it; anything else is copied, so that no
+    later write to `values` reaches the result.
+    """
+    shared = isinstance(values, np.ndarray) and not values.flags.writeable
+    a = (np.asarray if shared else np.array)(values, dtype=float, order="C")
+    a.setflags(write=False)
+    return a
+
+
 class Matrix:
     """Immutable dense real matrix with float64 entries: a dataset's design.
 
     Construction validates shape and rejects NaN and infinite entries, so
-    downstream code can assume every `Matrix` it receives is finite.
+    downstream code can assume every `Matrix` it receives is finite.  Its
+    array is `read_only(values)`: a read-only array is taken as is, and
+    anything else is copied.
     """
 
     __slots__ = ("_a",)
 
     def __init__(self, values) -> None:
-        a = np.array(values, dtype=float, order="C")
+        a = read_only(values)
         if a.ndim != 2:
             raise InvalidInputError("matrix values must be two-dimensional")
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise InvalidInputError("matrix must have at least one row and one column")
         if not np.all(np.isfinite(a)):
             raise InvalidInputError("matrix entries must be finite")
-        a.setflags(write=False)
         self._a = a
 
     @property

@@ -150,6 +150,26 @@ def information_criteria(log_l: float, k_params: int, n: int) -> InformationCrit
     )
 
 
+def coefficient_tests(beta: np.ndarray, inv_gram: np.ndarray, rss: float,
+                      df_resid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Standard errors and t statistics of the coefficients `beta`.
+
+    ``se = sqrt(rss / df_resid * inv_gram)`` and ``t = beta / se``, where
+    `inv_gram` is the inverse-Gram diagonal of the same columns.  Where se
+    is 0 the residual variance is zero and the coefficient is exact: t is
+    +-inf, or 0 for a zero coefficient, and `two_sided_p` gives those a
+    p-value of 0 and 1.
+    """
+    se = np.sqrt(rss / df_resid * inv_gram)
+    exact = np.where(beta == 0.0, 0.0, np.copysign(math.inf, beta))
+    return se, np.divide(beta, se, out=exact, where=se > 0.0)
+
+
+def two_sided_p(t: float, df_resid: int) -> float:
+    """Two-sided p-value of a t statistic from `coefficient_tests`; 0 for +-inf."""
+    return 0.0 if math.isinf(t) else distributions.t_two_sided_p(t, df_resid)
+
+
 def fit_ols(data: EncodedDataset, confidence_level: float = 0.95) -> FitResult:
     """Fit OLS on an encoded dataset and compute the complete summary.
 
@@ -204,29 +224,17 @@ def fit_ols(data: EncodedDataset, confidence_level: float = 0.95) -> FitResult:
     inference_available = df_resid >= 1
     likelihood_available = not perfect
 
-    std_errors = np.full(p, math.nan)
-    t_values = np.full(p, math.nan)
-    p_values = np.full(p, math.nan)
-    ci_low = np.full(p, math.nan)
-    ci_high = np.full(p, math.nan)
+    std_errors, t_values, p_values, ci_low, ci_high = (np.full(p, math.nan) for _ in range(5))
 
     if inference_available:
-        sigma2 = rss / df_resid
+        kept = list(factors.retained_columns)
         inv_gram = numcore.unscaled_covariance(factors)
         tq = distributions.t_critical_value(1.0 - confidence_level, df_resid)
-        for j in factors.retained_columns:
-            se = math.sqrt(sigma2 * inv_gram[j])
-            std_errors[j] = se
-            if se > 0.0:
-                t = beta[j] / se
-                t_values[j] = t
-                p_values[j] = distributions.t_two_sided_p(t, df_resid)
-            else:
-                # zero residual variance: the coefficient is exact
-                t_values[j] = 0.0 if beta[j] == 0.0 else math.inf * np.sign(beta[j])
-                p_values[j] = 1.0 if beta[j] == 0.0 else 0.0
-            ci_low[j] = beta[j] - tq * se
-            ci_high[j] = beta[j] + tq * se
+        se, t = coefficient_tests(beta[kept], inv_gram[kept], rss, df_resid)
+        std_errors[kept], t_values[kept] = se, t
+        p_values[kept] = [two_sided_p(float(v), df_resid) for v in t]
+        ci_low[kept] = beta[kept] - tq * se
+        ci_high[kept] = beta[kept] + tq * se
 
     f_stat = f_statistic(r2, df_model, df_resid)
     if math.isnan(f_stat):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict
-from typing import Any
+from typing import Any, Callable
 
 from .diagnostics import BreuschPaganResult, PlotSeries, VifReport
 from .ols import FitResult, coefficient_table
@@ -25,24 +25,23 @@ from .selection import EliminationTrace
 _WIDTH = 78
 
 
-def fmt_3f(x: float) -> str:
-    return f"{x + 0.0:.3f}"
+def _unsigned_zero(spec: str) -> Callable[[float], str]:
+    """Formatter that writes ``spec % x`` with a zero's sign dropped.
+
+    It is named ``fmt_`` plus the spec's precision and type (``fmt_3f`` for
+    ``"%.3f"``), like the module-level name it is bound to.
+    """
+    def fmt(x: float) -> str:
+        return spec % (x + 0.0)
+    fmt.__name__ = fmt.__qualname__ = "fmt_" + spec.lstrip("%#.")
+    return fmt
 
 
-def fmt_4f(x: float) -> str:
-    return f"{x + 0.0:.4f}"
-
-
-def fmt_4g(x: float) -> str:
-    return "%#.4g" % (x + 0.0)
-
-
-def fmt_5g(x: float) -> str:
-    return "%#.5g" % (x + 0.0)
-
-
-def fmt_3g(x: float) -> str:
-    return "%#.3g" % (x + 0.0)
+fmt_3f = _unsigned_zero("%.3f")
+fmt_4f = _unsigned_zero("%.4f")
+fmt_4g = _unsigned_zero("%#.4g")
+fmt_5g = _unsigned_zero("%#.5g")
+fmt_3g = _unsigned_zero("%#.3g")
 
 
 def _header_row(llabel: str, lvalue: str, rlabel: str, rvalue: str) -> str:

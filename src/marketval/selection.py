@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import distributions, numcore
+from . import numcore
 from .errors import InferenceUnavailableError, InvalidInputError
 from .features import EncodedDataset
-from .ols import FitResult, adjusted_r_squared, fit_ols, r_squared, total_sum_of_squares
+from .ols import (FitResult, adjusted_r_squared, coefficient_tests, fit_ols, r_squared,
+                  total_sum_of_squares, two_sided_p)
 
 # A compressed step decides only when its pivoted R has |r_00 / r_kk| at most
 # this.  On random designs with near twins the worst p-value of such steps
@@ -107,9 +108,10 @@ def _compressed_state(
     rss = solution.rss + rho2
     if rss <= 0.0:
         return None
-    t = solution.coefficients / np.sqrt(rss / df_resid * numcore.unscaled_covariance(factors))
+    _, t = coefficient_tests(
+        solution.coefficients, numcore.unscaled_covariance(factors), rss, df_resid)
     candidates = sorted(
-        ((distributions.t_two_sided_p(float(t[pos]), df_resid), int(pos))
+        ((two_sided_p(float(t[pos]), df_resid), int(pos))
          for pos in np.argsort(np.abs(t), kind="stable")[:2]),
         reverse=True,
     )

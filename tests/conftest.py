@@ -67,10 +67,9 @@ def child_env(**threads: str) -> dict[str, str]:
     return env
 
 
-def snapshot_tool():
-    """The module `tools/snapshot_outputs.py`, which is not on the import path."""
-    spec = importlib.util.spec_from_file_location(
-        "snapshot_outputs", SRC.parent / "tools" / "snapshot_outputs.py")
+def load_tool(name: str):
+    """The module `tools/<name>.py`, which is not on the import path."""
+    spec = importlib.util.spec_from_file_location(name, SRC.parent / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

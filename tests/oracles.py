@@ -24,7 +24,7 @@ from marketval.diagnostics import (
     VifReport,
     _band,
 )
-from marketval.distributions import chi2_sf
+from marketval.distributions import chi2_sf, t_critical_value, t_two_sided_p
 from marketval.errors import InvalidInputError, OutOfRangeError, RowParseError
 from marketval.features import (
     BIAS_COLUMN_NAME,
@@ -80,6 +80,40 @@ def inverse_gram_diagonal_by_product(factors: numcore.QrFactors) -> np.ndarray:
     cov = (cov + cov.T) / 2.0
     diag[list(factors.retained_columns)] = np.diag(cov)
     return diag
+
+
+def inference_by_column_loop(fit: FitResult) -> dict[str, np.ndarray]:
+    """`fit`'s inference vectors, recomputed one retained column at a time.
+
+    The scalar loop `ols.coefficient_tests` replaced: the same operations
+    in the same order, so its results must match `fit_ols`'s bit for bit.
+    Reads the coefficients, rss, degrees of freedom, level and
+    factorization from `fit`; dropped columns, and every column of a fit
+    without inference, stay NaN.
+    """
+    p = len(fit.column_names)
+    out = {name: np.full(p, math.nan)
+           for name in ("std_errors", "t_values", "p_values", "ci_low", "ci_high")}
+    if not fit.inference_available:
+        return out
+    beta, df_resid = fit.coefficients, fit.df_resid
+    sigma2 = fit.rss / df_resid
+    inv_gram = numcore.unscaled_covariance(fit.factors)
+    tq = t_critical_value(1.0 - fit.confidence_level, df_resid)
+    for j in fit.factors.retained_columns:
+        se = math.sqrt(sigma2 * inv_gram[j])
+        out["std_errors"][j] = se
+        if se > 0.0:
+            t = beta[j] / se
+            out["t_values"][j] = t
+            out["p_values"][j] = t_two_sided_p(t, df_resid)
+        else:
+            # zero residual variance: the coefficient is exact
+            out["t_values"][j] = 0.0 if beta[j] == 0.0 else math.inf * np.sign(beta[j])
+            out["p_values"][j] = 1.0 if beta[j] == 0.0 else 0.0
+        out["ci_low"][j] = beta[j] - tq * se
+        out["ci_high"][j] = beta[j] + tq * se
+    return out
 
 
 def normal_equations_summary(x: np.ndarray, y: np.ndarray, has_bias: bool) -> dict:

@@ -30,7 +30,7 @@ from marketval.features import EncodedDataset, encode_dataset
 from marketval.ingest import FilterConfig, apply_filters, parse_players_csv
 from marketval.selection import backward_eliminate
 from marketval.synth import generate_players, records_to_csv
-from conftest import child_env, snapshot_tool
+from conftest import child_env, load_tool
 from oracles import breusch_pagan_by_aux_regression
 
 SEED_ARGS = ["--seed", "42", "--n", "105"]
@@ -311,7 +311,7 @@ class TestDiagnoseCommand:
     def test_select_without_bias_matches_aux_regression(self, tmp_path):
         data = tmp_path / "two_leagues.csv"
         # 60 players whose eliminated model keeps a league dummy and no bias column.
-        data.write_text(snapshot_tool().no_bias_csv())
+        data.write_text(load_tool("snapshot_outputs").no_bias_csv())
         out = tmp_path / "d"
         assert main(["diagnose", "--select", "--input", str(data), "--out", str(out),
                      "--min-value", "0"]) == EXIT_OK

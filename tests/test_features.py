@@ -319,6 +319,20 @@ class TestEncodeDataset:
         assert sub.has_bias
         assert len(sub.standardization_params) == 1
 
+    def test_select_columns_shares_the_response(self):
+        data = encode_dataset([make_record(), make_record(club="Club B", goals=3)])
+        sub = data.select_columns([0, len(data.columns) - 1])
+        assert np.shares_memory(sub.response, data.response)
+        assert not sub.design.array().flags.writeable
+
+    def test_writable_response_is_copied(self):
+        data = encode_dataset([make_record(), make_record(club="Club B", goals=3)])
+        response = np.array([30.0, 40.0])
+        copy = EncodedDataset(data.design, data.columns, response, ())
+        response[0] = 99.0
+        assert copy.response.tolist() == [30.0, 40.0]
+        assert not copy.response.flags.writeable
+
     def test_first_non_indicator_encoded_column_named(self):
         data = encode_dataset([make_record(), make_record(club="Club B", foot="left")])
         a = data.design.array().copy()

@@ -1,6 +1,9 @@
 """CSV parsing, schema enforcement and eligibility filtering."""
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +37,13 @@ ROW = "Kane,League A,Club A,27,188,right,England,Nike,30,25,5,3,0,0,2700,90.000,
 
 def csv_bytes(*rows: str, header: str = HEADER_LINE) -> bytes:
     return ("\n".join([header, *rows]) + "\n").encode("utf-8")
+
+
+def test_readme_schema_block_lists_the_header_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Input schema\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"^```\n(.*?)^```$", section, re.S | re.M).group(1)
+    assert tuple(cell.strip() for cell in block.replace("\n", "").split(",")) == CSV_HEADER
 
 
 class TestParse:

@@ -55,6 +55,25 @@ class TestMatrix:
         with pytest.raises(ValueError):
             m.array()[0, 0] = 9.0
 
+    def test_copies_a_writable_array(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        m = Matrix(a)
+        a[0, 0] = 9.0
+        assert m.array().tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert not np.shares_memory(m.array(), a)
+        assert a.flags.writeable
+
+    def test_takes_a_read_only_array_as_is(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        a.setflags(write=False)
+        assert np.shares_memory(Matrix(a).array(), a)
+        # A read-only array of another dtype or order is still converted.
+        for b in (np.asfortranarray(a), a.astype(int)):
+            b.setflags(write=False)
+            m = Matrix(b)
+            assert not np.shares_memory(m.array(), b)
+            assert m.array().dtype == np.float64 and m.array().flags.c_contiguous
+
     def test_as_matrix_passthrough(self):
         m = Matrix([[1.0]])
         assert as_matrix(m) is m

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from marketval import distributions
 from marketval.distributions import f_sf, student_t_quantile, t_two_sided_p
@@ -27,7 +29,11 @@ from marketval.ols import (
 )
 from marketval.report import fit_to_dict, json_dumps, render_summary
 from conftest import dataset_from_arrays
-from oracles import gaussian_density_log_product, normal_equations_summary
+from oracles import (
+    gaussian_density_log_product,
+    inference_by_column_loop,
+    normal_equations_summary,
+)
 
 
 def random_problem(rng, n=None, p=None, bias=True):
@@ -314,6 +320,49 @@ class TestFitOls:
             if fit.ci_low[1] <= true_beta[1] <= fit.ci_high[1]:
                 hits += 1
         assert 0.93 <= hits / reps <= 0.97
+
+
+def design_of_kind(kind: str, seed: int, n: int, p: int):
+    """A dataset of one of three kinds, drawn from `seed`.
+
+    "random": Gaussian columns after a bias column.  "twin": the same with
+    one column repeated, so the rank cut drops one of the two.  "exact":
+    each column a power of two in one row of its own, the other rows zero,
+    and an integer response that is zero off those rows, so the fit is
+    exact (rss 0) and some coefficients are exactly zero.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "exact":
+        x = np.zeros((n, p))
+        rows = rng.permutation(n)[:p]
+        x[rows, np.arange(p)] = 2.0 ** rng.integers(-3, 4, size=p)
+        y = np.zeros(n)
+        y[rows] = rng.integers(-3, 4, size=p)
+        assume(y.any())
+        return dataset_from_arrays(x, y, bias=False)
+    x = rng.normal(size=(n, p))
+    x[:, 0] = 1.0
+    if kind == "twin":
+        x = np.insert(x, int(rng.integers(1, p + 1)), x[:, int(rng.integers(1, p))], axis=1)
+    return dataset_from_arrays(x, rng.normal(size=n) + x @ rng.normal(size=x.shape[1]))
+
+
+@given(kind=st.sampled_from(["random", "twin", "exact"]), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(4, 40), p=st.integers(2, 8),
+       level=st.sampled_from([0.5, 0.9, 0.95, 0.999]))
+def test_inference_matches_the_column_loop_bit_for_bit(kind, seed, n, p, level):
+    assume(p <= n - 2)
+    fit = fit_ols(design_of_kind(kind, seed, n, p), confidence_level=level)
+    assume(fit.inference_available)
+    if kind == "twin":
+        assert len(fit.dropped_columns) == 1
+    if kind == "exact":
+        assume(fit.rss == 0.0)
+        assert (fit.std_errors[list(fit.factors.retained_columns)] == 0.0).all()
+    loop = inference_by_column_loop(fit)
+    for name, expected in loop.items():
+        # Equal bytes: NaN equals NaN, and 0.0 differs from -0.0.
+        assert getattr(fit, name).tobytes() == expected.tobytes(), name
 
 
 class TestCoefficientTable:

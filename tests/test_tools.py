@@ -1,12 +1,12 @@
-"""tools/snapshot_outputs.py on one n = 105 case."""
+"""tools/snapshot_outputs.py on one n = 105 case, and tools/code_lines.py on a small tree."""
 from __future__ import annotations
 
 from marketval.cli import main
-from conftest import snapshot_tool
+from conftest import load_tool
 
 
 def test_snapshot_of_one_case(tmp_path):
-    tool = snapshot_tool()
+    tool = load_tool("snapshot_outputs")
     tool.snapshot(tmp_path / "snap", ("n105-seed1",))
     case = tmp_path / "snap" / "n105-seed1"
     assert sorted(p.name for p in case.iterdir()) == sorted(["input", *tool.RUNS])
@@ -20,3 +20,36 @@ def test_snapshot_of_one_case(tmp_path):
                  "--out", str(tmp_path / "select")]) == 0
     for name in ("summary.txt", "fit.json", "trace.json"):
         assert (case / "select" / name).read_bytes() == (tmp_path / "select" / name).read_bytes()
+
+
+SMALL_MODULE = '''"""Module docstring,
+over two lines."""
+import math  # a trailing comment still leaves a code line
+
+# A comment line.
+
+
+def area(radius):
+    """Function docstring."""
+
+    return (math.pi
+            * radius ** 2)
+
+
+class Shape:
+    """Class docstring."""
+    label = """not a docstring:
+both lines count"""
+'''
+
+
+def test_code_lines_counts_statements_only(tmp_path, capsys):
+    tool = load_tool("code_lines")
+    # import; def; the two lines of return; class; the two lines of label.
+    assert tool.code_lines(SMALL_MODULE) == 7
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "shapes.py").write_text(SMALL_MODULE)
+    (tmp_path / "pkg" / "empty.py").write_text('"""Only a docstring."""\n')
+    assert tool.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     0 pkg/empty.py", "     7 pkg/shapes.py", "     7 total"]
