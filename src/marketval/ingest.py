@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field, fields
-from typing import Iterator
+from typing import Iterator, get_type_hints
 
 from .errors import EncodingError, InvalidInputError, RowParseError, SchemaError
 from .features import PlayerRecord
@@ -106,12 +106,22 @@ def _parse_flag(cell: str, row: int, column: str) -> bool:
     raise RowParseError(row, column, f"expected 0 or 1, got {cell!r}")
 
 
+# How each cell of a row is read, off `PlayerRecord`'s field types: the
+# positions of the text cells, which are stripped, and (position, reader,
+# column) for every other cell.
+_READERS = {int: _parse_int, float: _parse_float, bool: _parse_flag}
+_TYPES = get_type_hints(PlayerRecord)
+_TEXT_CELLS = tuple(i for i, name in enumerate(CSV_HEADER) if _TYPES[name] is str)
+_TYPED_CELLS = tuple((i, _READERS[_TYPES[name]], name) for i, name in enumerate(CSV_HEADER)
+                     if i not in _TEXT_CELLS)
+
+
 def _csv_rows(data: bytes) -> Iterator[tuple[int, list[str]]]:
     """The data rows of a player CSV, each with the file line it starts on.
 
     Decodes the bytes, skips one leading byte-order mark and checks the
     header.  Blank lines come through as empty rows.  A row the CSV reader
-    rejects raises `RowParseError`.
+    rejects raises `RowParseError` with the line the row starts on.
     """
     try:
         text = data.decode("utf-8")
@@ -124,6 +134,7 @@ def _csv_rows(data: bytes) -> Iterator[tuple[int, list[str]]]:
     if text.strip() == "":
         return
     reader = csv.reader(io.StringIO(text))
+    line = 1
     try:
         header = [h.strip() for h in next(reader)]
         if header != list(CSV_HEADER):
@@ -141,7 +152,7 @@ def _csv_rows(data: bytes) -> Iterator[tuple[int, list[str]]]:
             yield line, row
             line = reader.line_num + 1
     except csv.Error as exc:
-        raise RowParseError(reader.line_num, "row", str(exc)) from None
+        raise RowParseError(line, "row", str(exc)) from None
 
 
 def parse_players_csv(data: bytes) -> list[PlayerRecord]:
@@ -159,8 +170,9 @@ def parse_players_csv(data: bytes) -> list[PlayerRecord]:
     raises `RowParseError`.
 
     Rows are parsed in file order, so the first bad row is the one
-    reported.  Each row is unpacked by position; an integer cell of plain
-    ASCII digits goes straight to `int()`, any other through the full check.
+    reported.  Each cell is read by its `PlayerRecord` field's type, in
+    field order; an integer cell of plain ASCII digits goes straight to
+    `int()`, any other through the full check.
     """
     records: list[PlayerRecord] = []
     for line, row in _csv_rows(data):
@@ -168,29 +180,12 @@ def parse_players_csv(data: bytes) -> list[PlayerRecord]:
             continue  # tolerate blank lines
         if len(row) != len(CSV_HEADER):
             raise RowParseError(line, "row", f"expected {len(CSV_HEADER)} cells, got {len(row)}")
-        (name, league, club, age, height_cm, foot, nationality, outfitter, matches_played,
-         goals, assists, yellow_cards, second_yellow_cards, red_cards, minutes_played,
-         market_value_m_eur, mid_season_transfer) = row
+        for i in _TEXT_CELLS:
+            row[i] = row[i].strip()
+        for i, read, column in _TYPED_CELLS:
+            row[i] = read(row[i], line, column)
         try:
-            record = PlayerRecord(
-                name.strip(),
-                league.strip(),
-                club.strip(),
-                _parse_int(age, line, "age"),
-                _parse_int(height_cm, line, "height_cm"),
-                foot.strip(),
-                nationality.strip(),
-                outfitter.strip(),
-                _parse_int(matches_played, line, "matches_played"),
-                _parse_int(goals, line, "goals"),
-                _parse_int(assists, line, "assists"),
-                _parse_int(yellow_cards, line, "yellow_cards"),
-                _parse_int(second_yellow_cards, line, "second_yellow_cards"),
-                _parse_int(red_cards, line, "red_cards"),
-                _parse_int(minutes_played, line, "minutes_played"),
-                _parse_float(market_value_m_eur, line, "market_value_m_eur"),
-                _parse_flag(mid_season_transfer, line, "mid_season_transfer"),
-            )
+            record = PlayerRecord(*row)
         except InvalidInputError as exc:
             raise RowParseError(line, "record", str(exc)) from exc
         records.append(record)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict
-from typing import Any, Callable
+from typing import Any, Callable, get_type_hints
 
 from .diagnostics import BreuschPaganResult, PlotSeries, VifReport
 from .ols import FitResult, coefficient_table
@@ -126,6 +126,11 @@ def json_dumps(obj: Any) -> str:
     return json.dumps(_clean(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+# fit.json's scalar block: every `FitResult` field that holds one number or flag.
+# (`covariance_type`, a class constant, is added by name.)
+_FIT_SCALARS = [name for name, t in get_type_hints(FitResult).items() if t in (int, float, bool)]
+
+
 def fit_to_dict(fit: FitResult) -> dict:
     dropped = fit.factors.dropped_columns
     columns = []
@@ -143,27 +148,12 @@ def fit_to_dict(fit: FitResult) -> dict:
             }
         )
     return {
-        "n_obs": fit.n_obs,
-        "k_params": fit.k_params,
-        "df_model": fit.df_model,
-        "df_resid": fit.df_resid,
-        "has_bias": fit.has_bias,
-        "confidence_level": fit.confidence_level,
-        "r_squared": fit.r_squared,
-        "adj_r_squared": fit.adj_r_squared,
-        "f_statistic": fit.f_statistic,
-        "f_p_value": fit.f_p_value,
-        "log_likelihood": fit.log_likelihood,
-        "aic": fit.aic,
-        "bic": fit.bic,
-        "rss": fit.rss,
+        **{name: getattr(fit, name) for name in _FIT_SCALARS},
         "covariance_type": fit.covariance_type,
-        "inference_available": fit.inference_available,
-        "likelihood_available": fit.likelihood_available,
         "columns": columns,
         "dropped_columns": list(fit.dropped_columns),
-        "fitted": [float(v) for v in fit.fitted],
-        "residuals": [float(v) for v in fit.residuals],
+        "fitted": fit.fitted.tolist(),
+        "residuals": fit.residuals.tolist(),
     }
 
 

@@ -206,10 +206,16 @@ def records_to_csv(records: list[PlayerRecord]) -> str:
 
     The `csv` module writes it in the dialect `parse_players_csv` reads, so
     a text cell that holds a comma, a double quote or a line feed is quoted.
-    Market values are written with three decimals and flags as 0/1.  That
-    writer leaves a lone carriage return unquoted, which the reader rejects,
-    so a text cell that holds one raises `InvalidInputError`.
+    Market values are written with three decimals and flags as 0/1, so a
+    value below 0.0005 would be written as 0, which the reader rejects; it
+    raises `InvalidInputError`.  The writer leaves a lone carriage return
+    unquoted, which the reader also rejects, so a text cell that holds one
+    raises `InvalidInputError` too.
     """
+    low = min(records, key=attrgetter("market_value_m_eur"), default=None)
+    if low is not None and float(cell := _csv_cell(low.market_value_m_eur)) == 0:
+        raise InvalidInputError(f"player {low.name!r}: column 'market_value_m_eur' holds "
+                                f"{low.market_value_m_eur!r}, which is written as {cell!r}")
     fields = attrgetter(*CSV_HEADER)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

@@ -131,6 +131,20 @@ class TestParse:
             parse_players_csv(csv_bytes(ROW, header="n" * 200_000))
         assert exc_info.value.row == 1
 
+    def test_rejected_row_is_reported_at_its_first_line(self):
+        # A quoted name spanning lines 3-5, then a lone carriage return the
+        # reader rejects: the row starts on line 3, the reader stops on 5.
+        spanning = ROW.replace("Kane", '"Ka\nn\ne"').replace("Club A", "Club\rA")
+        with pytest.raises(RowParseError) as exc_info:
+            parse_players_csv(csv_bytes(ROW, spanning))
+        assert (exc_info.value.row, exc_info.value.column) == (3, "row")
+        # A quoted cell from line 3 over three newlines and past the field limit.
+        oversized = ROW.replace("Kane", '"' + "\n" * 3 + "K" * 140_000 + '"')
+        with pytest.raises(RowParseError) as exc_info:
+            parse_players_csv(csv_bytes(ROW, oversized))
+        assert exc_info.value.row == 3
+        assert "field limit" in str(exc_info.value)
+
     def test_leading_bom_skipped(self):
         plain = csv_bytes(ROW, ROW)
         assert parse_players_csv(b"\xef\xbb\xbf" + plain) == parse_players_csv(plain)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -82,3 +83,29 @@ def test_only_numcore_reads_q():
         if _internal_read(node)
     }
     assert readers == set()
+
+
+def _names_in(module: str, function: str) -> set[str]:
+    """The string constants and attribute names in one function of a module."""
+    path = SRC / "marketval" / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    nodes = list(ast.walk(body))
+    return ({n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+def test_parser_names_no_column():
+    # Each cell is read by its `PlayerRecord` field, so the parser restates no column.
+    from marketval.ingest import CSV_HEADER
+
+    assert _names_in("ingest", "parse_players_csv") & set(CSV_HEADER) == set()
+
+
+def test_fit_json_names_no_scalar_field():
+    # fit.json's scalar block is read off `FitResult`'s int, float and bool fields.
+    from marketval.ols import FitResult
+
+    scalars = {n for n, t in typing.get_type_hints(FitResult).items() if t in (int, float, bool)}
+    assert len(scalars) == 16
+    assert _names_in("report", "fit_to_dict") & scalars == set()

@@ -227,6 +227,15 @@ class TestFitToDict:
         assert len(d["residuals"]) == fit.n_obs
         assert d["dropped_columns"] == []
 
+    def test_top_level_keys(self):
+        # A new `FitResult` field shows up here, not as a silent change to fit.json.
+        assert set(fit_to_dict(_strong_fit())) == {
+            "n_obs", "k_params", "df_model", "df_resid", "has_bias", "confidence_level",
+            "r_squared", "adj_r_squared", "f_statistic", "f_p_value", "log_likelihood", "aic",
+            "bic", "rss", "covariance_type", "inference_available", "likelihood_available",
+            "columns", "dropped_columns", "fitted", "residuals",
+        }
+
     def test_dropped_flag(self):
         rng = np.random.default_rng(5)
         x1 = rng.normal(size=30)

@@ -128,3 +128,19 @@ class TestRecordsToCsv:
             records_to_csv([record, bad])
         assert str(exc.value) == (
             f"player {bad.name!r}: column {column!r} holds a carriage return")
+
+    @pytest.mark.parametrize("value", [0.0004, 5e-324])
+    def test_value_written_as_zero_names_player_and_column(self, value):
+        # Such a value is a valid record, but three decimals write it as 0.000,
+        # which the parser rejects.
+        record = generate_players(1, 1)[0][0]
+        low = dataclasses.replace(record, name="Low", market_value_m_eur=value)
+        with pytest.raises(InvalidInputError) as exc:
+            records_to_csv([record, low])
+        assert str(exc.value) == (f"player 'Low': column 'market_value_m_eur' holds {value!r}, "
+                                  "which is written as '0.000'")
+
+    def test_smallest_value_written_above_zero_reads_back(self):
+        record = dataclasses.replace(generate_players(1, 1)[0][0], market_value_m_eur=0.0005)
+        (parsed,) = parse_players_csv(records_to_csv([record]).encode("utf-8"))
+        assert parsed.market_value_m_eur == 0.001
