@@ -15,9 +15,9 @@ _ORIGIN = {
     for module, names in {
         "diagnostics": ("BreuschPaganResult", "PlotSeries", "VifEntry", "VifReport",
                         "breusch_pagan", "mape", "plot_series", "vif"),
-        "features": ("ColumnMeta", "EncodedDataset", "PlayerRecord", "StandardizationParams",
-                     "age_group", "card_score", "encode_dataset", "goal_contribution",
-                     "height_group", "match_group"),
+        "features": ("ColumnMeta", "EncodedDataset", "PlayerRecord", "PlayerTable",
+                     "StandardizationParams", "age_group", "card_score", "encode_dataset",
+                     "goal_contribution", "height_group", "match_group"),
         "ingest": ("CSV_HEADER", "ExclusionEntry", "ExclusionLog", "FilterConfig",
                    "FilterResult", "apply_filters", "parse_players_csv"),
         "numcore": ("LeastSquaresSolution", "Matrix", "QrFactors", "least_squares_solve",

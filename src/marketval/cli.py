@@ -111,8 +111,9 @@ def _filter_config(args: argparse.Namespace) -> FilterConfig:
 
 def _load_dataset(args: argparse.Namespace) -> EncodedDataset:
     data = Path(args.input).read_bytes()
-    records = parse_players_csv(data)
-    result = apply_filters(records, _filter_config(args))
+    # The parsed table is bound to no name, so it is freed before the
+    # accepted one is encoded.
+    result = apply_filters(parse_players_csv(data), _filter_config(args))
     if len(result.accepted) < 2:
         raise EmptyDatasetError(
             f"{len(result.accepted)} record(s) survived filtering; need at least 2"

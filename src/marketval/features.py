@@ -10,9 +10,12 @@ raw market value in millions of euros.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from operator import attrgetter
-from typing import Callable, Mapping
+from types import MappingProxyType
+from typing import Callable, Mapping, get_type_hints
 
 import numpy as np
 
@@ -26,6 +29,12 @@ KIND_CONTINUOUS = "continuous"
 BIAS_COLUMN_NAME = "const"
 
 
+# Integers in a CSV cell or a `PlayerTable` have at most this many digits
+# (after leading zeros), so every value and every derived count (a card
+# score is below 6 * 10**18) fits a signed 64-bit integer: a cell of ~309
+# digits overflows the float conversion in encoding, one of 4300 int().
+MAX_INT_DIGITS = 18
+
 # The count fields of `PlayerRecord`, each of which must be >= 0.
 _COUNT_FIELDS = (
     "matches_played",
@@ -36,7 +45,19 @@ _COUNT_FIELDS = (
     "red_cards",
     "minutes_played",
 )
-_counts = attrgetter(*_COUNT_FIELDS)
+_FEET = ("left", "right", "both")
+
+# The rules every player obeys, checked in this order: (field, test, message).
+# A test takes one value, or a whole column of a numeric field; the tests of
+# `market_value_m_eur` are false for NaN.
+_RECORD_RULES = (
+    *((name, lambda v: v >= 0, f"{name} must be >= 0") for name in _COUNT_FIELDS),
+    ("age", lambda v: v >= 15, "age must be >= 15"),
+    ("height_cm", lambda v: (140 <= v) & (v <= 220), "height_cm must be within [140, 220]"),
+    ("market_value_m_eur", lambda v: (0 < v) & (v < math.inf),
+     "market_value_m_eur must be finite and > 0"),
+    ("foot", _FEET.__contains__, "foot must be one of left, right, both"),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,52 +88,175 @@ class PlayerRecord:
     mid_season_transfer: bool
 
     def __post_init__(self) -> None:
-        counts = _counts(self)
-        if min(counts) < 0:
-            attr = next(a for a, v in zip(_COUNT_FIELDS, counts) if v < 0)
-            raise InvalidInputError(f"{attr} must be >= 0")
-        if self.age < 15:
-            raise InvalidInputError("age must be >= 15")
-        if not 140 <= self.height_cm <= 220:
-            raise InvalidInputError("height_cm must be within [140, 220]")
-        if not (math.isfinite(self.market_value_m_eur) and self.market_value_m_eur > 0):
-            raise InvalidInputError("market_value_m_eur must be finite and > 0")
-        if self.foot not in ("left", "right", "both"):
-            raise InvalidInputError("foot must be one of left, right, both")
+        for name, valid, message in _RECORD_RULES:
+            if not valid(getattr(self, name)):
+                raise InvalidInputError(message)
 
 
-def age_group(age: int) -> int:
-    """Age band index: {20-21, 22-23, 24-25, 26-27, 28-29, 30-31, >=32} -> 0..6."""
-    if age < 20:
-        raise OutOfRangeError(f"age {age} is below 20, where the age bands start")
-    return min((age - 20) // 2, 6)
+# Each field's type, in field order, and the dtype of a numeric field's column.
+FIELD_TYPES: Mapping[str, type] = MappingProxyType(get_type_hints(PlayerRecord))
+_DTYPES = {int: np.int64, float: np.float64, bool: np.bool_}
+_fields_of = attrgetter(*FIELD_TYPES)
 
 
-def height_group(height_cm: int) -> int:
-    """Height band index: {160-164, ..., 185-189, >=190} -> 0..6, 5 cm per band."""
-    if height_cm < 160:
-        raise OutOfRangeError(
-            f"height {height_cm} cm is below 160 cm, where the height bands start"
-        )
-    return min((height_cm - 160) // 5, 6)
+class PlayerTable(Sequence):
+    """Players held column-wise: what `parse_players_csv` returns.
+
+    Each `PlayerRecord` field is a column, read as the attribute of the same
+    name: a read-only int64, float64 or bool array for a numeric field, a
+    tuple of strings for a text field.  Every row obeys the `PlayerRecord`
+    rules, checked once per column.  `len()` counts rows; indexing and
+    iteration build `PlayerRecord`s of plain Python values.  Two tables are
+    equal when their columns are.
+    """
+
+    def __init__(self, columns: Mapping[str, Iterable]) -> None:
+        """A table of `columns` (field name -> values).
+
+        A numeric column that is already an array of its dtype is taken
+        as it is, without a copy, and made read-only; other values are
+        converted.  Raises `InvalidInputError` when the columns differ in
+        length, a value does not fit its column (an integer of more than
+        `MAX_INT_DIGITS` digits, as in a CSV cell), or a row breaks a
+        record rule: then the message is the first broken rule's.
+        """
+        built = {}
+        for name, kind in FIELD_TYPES.items():
+            if kind is str:
+                built[name] = tuple(columns[name])
+                continue
+            try:
+                column = np.asarray(columns[name], dtype=_DTYPES[kind])
+            except OverflowError:
+                column = None
+            if column is None or (kind is int and (column >= 10**MAX_INT_DIGITS).any()):
+                raise InvalidInputError(f"{name} holds a value beyond its column's range "
+                                        f"(at most {MAX_INT_DIGITS} digits for an integer)")
+            column.setflags(write=False)
+            built[name] = column
+        if len(set(map(len, built.values()))) > 1:
+            raise InvalidInputError("table columns must have equal lengths")
+        for name, valid, message in _RECORD_RULES:
+            column = built[name]
+            # A text rule is tested once per distinct value.
+            if not (all(map(valid, set(column))) if isinstance(column, tuple)
+                    else valid(column).all()):
+                raise InvalidInputError(message)
+        self.__dict__.update(built)
+
+    @classmethod
+    def from_records(cls, records: Iterable[PlayerRecord]) -> PlayerTable:
+        """`records` as a table; a table is returned as it is."""
+        if isinstance(records, PlayerTable):
+            return records
+        values = list(chain.from_iterable(map(_fields_of, records)))
+        width = len(FIELD_TYPES)
+        return cls({name: values[i::width] for i, name in enumerate(FIELD_TYPES)})
+
+    def _columns(self) -> list:
+        return [self.__dict__[name] for name in FIELD_TYPES]
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("a PlayerTable is read-only")
+
+    def __len__(self) -> int:
+        return len(self.name)
+
+    def __getitem__(self, i: int) -> PlayerRecord:
+        return PlayerRecord(*(c[i] if isinstance(c, tuple) else c[i].item()
+                              for c in self._columns()))
+
+    def __iter__(self) -> Iterator[PlayerRecord]:
+        return map(PlayerRecord, *(c if isinstance(c, tuple) else c.tolist()
+                                   for c in self._columns()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PlayerTable):
+            return NotImplemented
+        return all(a == b if isinstance(a, tuple) else np.array_equal(a, b)
+                   for a, b in zip(self._columns(), other._columns()))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"<PlayerTable of {len(self)} rows>"
+
+    def compress(self, keep: np.ndarray) -> PlayerTable:
+        """The rows where the boolean mask `keep` is true, in order."""
+        keep_list = keep.tolist()
+        return PlayerTable({
+            name: tuple(compress(c, keep_list)) if isinstance(c, tuple) else c[keep]
+            for name, c in zip(FIELD_TYPES, self._columns())
+        })
 
 
-def match_group(matches_played: int) -> int:
-    """Match-count group: 0-15 -> 1, then +1 per 5 matches (16-20 -> 2, ...)."""
-    if matches_played < 0:
-        raise OutOfRangeError("matches_played must be >= 0")
-    if matches_played <= 15:
-        return 1
-    return 2 + (matches_played - 16) // 5
+class _BandError(OutOfRangeError):
+    """A value below the first band, at `index` of the array checked."""
+
+    def __init__(self, message: str, index: int) -> None:
+        super().__init__(message)
+        self.index = index
 
 
-def goal_contribution(goals: int, assists: int) -> float:
-    """Goals plus half of the assists."""
+def _require_at_least(values: int | np.ndarray, start: int, message: str) -> None:
+    """Raise `OutOfRangeError(message)`, formatted with the first of `values`
+    (one int, or an int array) below `start`, if there is one; for an
+    array, a `_BandError` that carries the value's index."""
+    below = values < start
+    if isinstance(below, np.ndarray):
+        if below.any():
+            i = int(below.argmax())
+            raise _BandError(message.format(values[i]), i)
+    elif below:
+        raise OutOfRangeError(message.format(values))
+
+
+def _clip(index: int | np.ndarray, low: int, high: int | None = None) -> int | np.ndarray:
+    """`index` clipped to [low, high], for one int or elementwise over an array."""
+    if isinstance(index, np.ndarray):
+        return np.clip(index, low, high)
+    return max(low, index if high is None else min(index, high))
+
+
+def age_group(age: int | np.ndarray) -> int | np.ndarray:
+    """Age band index: {20-21, 22-23, 24-25, 26-27, 28-29, 30-31, >=32} -> 0..6.
+
+    Takes one age or an int array of ages.
+    """
+    _require_at_least(age, 20, "age {} is below 20, where the age bands start")
+    return _clip((age - 20) // 2, 0, 6)
+
+
+def height_group(height_cm: int | np.ndarray) -> int | np.ndarray:
+    """Height band index: {160-164, ..., 185-189, >=190} -> 0..6, 5 cm per band.
+
+    Takes one height or an int array of heights.
+    """
+    _require_at_least(height_cm, 160,
+                      "height {} cm is below 160 cm, where the height bands start")
+    return _clip((height_cm - 160) // 5, 0, 6)
+
+
+def match_group(matches_played: int | np.ndarray) -> int | np.ndarray:
+    """Match-count group: 0-15 -> 1, then +1 per 5 matches (16-20 -> 2, ...).
+
+    Takes one count or an int array of counts.
+    """
+    _require_at_least(matches_played, 0, "matches_played must be >= 0")
+    return _clip(2 + (matches_played - 16) // 5, 1)
+
+
+def goal_contribution(goals: int | np.ndarray, assists: int | np.ndarray) -> float | np.ndarray:
+    """Goals plus half of the assists (ints, or elementwise over int arrays)."""
     return goals + assists / 2.0
 
 
-def card_score(yellow_cards: int, second_yellow_cards: int, red_cards: int) -> int:
-    """Discipline score: 1 per yellow, 2 per two-yellow dismissal, 3 per red."""
+def card_score(yellow_cards: int | np.ndarray, second_yellow_cards: int | np.ndarray,
+               red_cards: int | np.ndarray) -> int | np.ndarray:
+    """Discipline score: 1 per yellow, 2 per two-yellow dismissal, 3 per red.
+
+    Takes ints, or int arrays elementwise.
+    """
     return yellow_cards + 2 * second_yellow_cards + 3 * red_cards
 
 
@@ -137,7 +281,8 @@ class StandardizationParams:
 
 
 # Categorical attributes in design-matrix order, with their level extractors.
-CATEGORICAL_ATTRIBUTES: tuple[tuple[str, Callable[[PlayerRecord], object]], ...] = (
+# An extractor reads one record, or a whole `PlayerTable` column-wise.
+CATEGORICAL_ATTRIBUTES: tuple[tuple[str, Callable[[PlayerRecord | PlayerTable], object]], ...] = (
     ("league", attrgetter("league")),
     ("club", attrgetter("club")),
     ("age_group", lambda r: age_group(r.age)),
@@ -148,10 +293,14 @@ CATEGORICAL_ATTRIBUTES: tuple[tuple[str, Callable[[PlayerRecord], object]], ...]
     ("match_group", lambda r: match_group(r.matches_played)),
 )
 
-CONTINUOUS_ATTRIBUTES: tuple[tuple[str, Callable[[PlayerRecord], float]], ...] = (
+CONTINUOUS_ATTRIBUTES: tuple[tuple[str, Callable[[PlayerRecord | PlayerTable], object]], ...] = (
     ("goal_contribution", lambda r: goal_contribution(r.goals, r.assists)),
-    ("card_score", lambda r: float(card_score(r.yellow_cards, r.second_yellow_cards, r.red_cards))),
+    ("card_score", lambda r: card_score(r.yellow_cards, r.second_yellow_cards, r.red_cards)),
 )
+
+
+# Rows of a design that `EncodedDataset` checks at a time.
+_CHECK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -179,8 +328,14 @@ class EncodedDataset:
             raise InvalidInputError("at most one bias column, and it must come first")
         encoded = [i for i, c in enumerate(self.columns) if c.kind == KIND_ENCODED]
         if encoded:
+            # A block of rows at a time: masks of the whole design would be
+            # three n x p arrays at once (5.5 MB at 19 054 x 96 columns).
             a = self.design.array()
-            indicator = ((a == 0.0) | (a == 1.0)).all(axis=0)[encoded]
+            indicator = np.ones(a.shape[1], dtype=bool)
+            for start in range(0, a.shape[0], _CHECK_ROWS):
+                rows = a[start:start + _CHECK_ROWS]
+                indicator &= ((rows == 0.0) | (rows == 1.0)).all(axis=0)
+            indicator = indicator[encoded]
             if not indicator.all():
                 bad = self.columns[encoded[int(np.argmin(indicator))]]
                 raise InvalidInputError(f"encoded column {bad.name!r} must be 0/1")
@@ -216,27 +371,33 @@ class EncodedDataset:
         )
 
 
-def _extract_naming_player(extract, record: PlayerRecord):
-    """`extract(record)`, with a band error prefixed by the record's player."""
-    try:
-        return extract(record)
-    except OutOfRangeError as exc:
-        raise OutOfRangeError(f"player {record.name!r}: {exc}") from None
+def _levels_and_positions(values) -> tuple[list, np.ndarray]:
+    """The distinct `values` (a tuple of strings or an int array) in sorted
+    order, and the position of each value among them."""
+    if isinstance(values, np.ndarray):
+        levels, positions = np.unique(values, return_inverse=True)
+        return levels.tolist(), positions
+    levels = sorted(set(values))
+    position = {level: i for i, level in enumerate(levels)}
+    return levels, np.fromiter(map(position.__getitem__, values), dtype=np.intp, count=len(values))
 
 
-def encode_dataset(records: list[PlayerRecord]) -> EncodedDataset:
-    """Build the design matrix and response from player records.
+def encode_dataset(records: Iterable[PlayerRecord]) -> EncodedDataset:
+    """Build the design matrix and response from players.
 
     Column order: bias, then one-hot columns attribute by attribute in
     `CATEGORICAL_ATTRIBUTES` order (levels sorted, first level dropped),
     then the standardized continuous columns.  Each attribute is read off
-    the records once; its values map to design columns through a dict, and
-    the ones are written into one preallocated design by fancy indexing.
+    the table's columns once: a band is computed for a whole column, the
+    values map to design columns by their position among the sorted
+    levels, and the ones are written into one preallocated design by fancy
+    indexing.
 
     Parameters
     ----------
-    records : list of PlayerRecord
-        At least two records.
+    records : PlayerTable, or any iterable of PlayerRecord
+        At least two players.  Records are first made a table with
+        `PlayerTable.from_records`.
 
     Returns
     -------
@@ -249,27 +410,27 @@ def encode_dataset(records: list[PlayerRecord]) -> EncodedDataset:
         value outside its bands (an age below 20 or a height below 160),
         naming the first player with such a value.
     """
-    if len(records) < 2:
+    table = PlayerTable.from_records(records)
+    n = len(table)
+    if n < 2:
         raise InvalidInputError("encoding needs at least 2 records")
-    n = len(records)
     metas: list[ColumnMeta] = [ColumnMeta(BIAS_COLUMN_NAME, KIND_BIAS, "bias")]
     dropped: dict[str, str] = {}
     codes: list[np.ndarray] = []
 
     for attr, extract in CATEGORICAL_ATTRIBUTES:
         try:
-            values = list(map(extract, records))
-        except OutOfRangeError:
-            # map does not say which record failed: redo it record by record to name it.
-            values = [_extract_naming_player(extract, r) for r in records]
-        levels = sorted(set(values))
+            values = extract(table)
+        except _BandError as exc:
+            raise OutOfRangeError(f"player {table.name[exc.index]!r}: {exc}") from None
+        levels, positions = _levels_and_positions(values)
         dropped[attr] = str(levels[0])
         # The dropped level maps to the bias column, which is all ones anyway.
-        column_of = {levels[0]: 0}
+        column_of = np.arange(len(metas) - 1, len(metas) - 1 + len(levels))
+        column_of[0] = 0
         for level in levels[1:]:
-            column_of[level] = len(metas)
             metas.append(ColumnMeta(f"{attr}={level}", KIND_ENCODED, attr, str(level)))
-        codes.append(np.fromiter(map(column_of.__getitem__, values), dtype=np.intp, count=n))
+        codes.append(column_of[positions])
 
     design = np.zeros((n, len(metas) + len(CONTINUOUS_ATTRIBUTES)))
     design[:, 0] = 1.0
@@ -279,7 +440,7 @@ def encode_dataset(records: list[PlayerRecord]) -> EncodedDataset:
 
     std_params: list[StandardizationParams] = []
     for attr, extract in CONTINUOUS_ATTRIBUTES:
-        v = np.fromiter(map(extract, records), dtype=float, count=n)
+        v = np.asarray(extract(table), dtype=float)
         mean = float(v.mean())
         std = float(v.std(ddof=1))
         if std == 0.0:
@@ -290,12 +451,11 @@ def encode_dataset(records: list[PlayerRecord]) -> EncodedDataset:
             std_params.append(StandardizationParams(attr, mean, std, False))
         metas.append(ColumnMeta(attr, KIND_CONTINUOUS, attr))
 
-    response = np.fromiter(map(attrgetter("market_value_m_eur"), records), dtype=float, count=n)
     design.setflags(write=False)
     return EncodedDataset(
         design=Matrix(design),
         columns=tuple(metas),
-        response=response,
+        response=table.market_value_m_eur,
         standardization_params=tuple(std_params),
         dropped_levels=dropped,
     )

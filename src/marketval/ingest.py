@@ -3,19 +3,24 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, fields
-from typing import Iterator, get_type_hints
+from dataclasses import dataclass
+from itertools import chain, compress
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import EncodingError, InvalidInputError, RowParseError, SchemaError
-from .features import PlayerRecord
+from .features import _DTYPES, FIELD_TYPES, MAX_INT_DIGITS, PlayerRecord, PlayerTable
 
 # The header of a player CSV: `PlayerRecord`'s fields, in order.
-CSV_HEADER = tuple(f.name for f in fields(PlayerRecord))
+CSV_HEADER = tuple(FIELD_TYPES)
 
 RULE_AGE = "age"
 RULE_TRANSFER = "mid_season_transfer"
 RULE_VALUE = "market_value"
 RULE_MINUTES = "minutes"
+# The filter rules in the order they are applied.
+RULES = (RULE_AGE, RULE_TRANSFER, RULE_VALUE, RULE_MINUTES)
 
 
 @dataclass(frozen=True)
@@ -45,24 +50,24 @@ class ExclusionEntry:
 
 @dataclass(frozen=True)
 class ExclusionLog:
-    """Per excluded record: name and the first filter rule it failed."""
+    """The excluded players in file order, column-wise: each one's name and
+    the first filter rule it failed."""
 
-    entries: tuple[ExclusionEntry, ...] = field(default_factory=tuple)
+    names: tuple[str, ...] = ()
+    rules: tuple[str, ...] = ()
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.names)
+
+    @property
+    def entries(self) -> tuple[ExclusionEntry, ...]:
+        return tuple(map(ExclusionEntry, self.names, self.rules))
 
 
 @dataclass(frozen=True)
 class FilterResult:
-    accepted: tuple[PlayerRecord, ...]
+    accepted: PlayerTable
     log: ExclusionLog
-
-
-# Integer cells have at most this many significant digits, so every value
-# fits a signed 64-bit integer and converts to float: a cell of ~309 digits
-# overflows the float conversion in encoding, one of 4300 overflows int().
-MAX_INT_DIGITS = 18
 
 
 def _parse_int(cell: str, row: int, column: str) -> int:
@@ -110,10 +115,87 @@ def _parse_flag(cell: str, row: int, column: str) -> bool:
 # positions of the text cells, which are stripped, and (position, reader,
 # column) for every other cell.
 _READERS = {int: _parse_int, float: _parse_float, bool: _parse_flag}
-_TYPES = get_type_hints(PlayerRecord)
-_TEXT_CELLS = tuple(i for i, name in enumerate(CSV_HEADER) if _TYPES[name] is str)
-_TYPED_CELLS = tuple((i, _READERS[_TYPES[name]], name) for i, name in enumerate(CSV_HEADER)
-                     if i not in _TEXT_CELLS)
+_TEXT_CELLS = tuple(i for i, kind in enumerate(FIELD_TYPES.values()) if kind is str)
+_TYPED_CELLS = tuple((i, _READERS[kind], name)
+                     for i, (name, kind) in enumerate(FIELD_TYPES.items()) if kind is not str)
+
+
+def _read_column(cells: list[str], column: str) -> np.ndarray | tuple[str, ...]:
+    """The cells of `column`, read by its `PlayerRecord` field's type.
+
+    Text cells are stripped.  A numeric column is read in one conversion
+    where its cells are plain: ints of ASCII digits, flags "0" and "1",
+    and ASCII floats without "_" that `float()` reads (it ignores
+    surrounding whitespace, so it reads the stripped cell).  Any other
+    column is read cell by cell with the row loop's reader, which raises
+    `RowParseError` on a bad cell (giving row 0: the row loop finds the
+    row).  An int of more than `MAX_INT_DIGITS` digits is left to
+    `PlayerTable` to reject.
+    """
+    kind = FIELD_TYPES[column]
+    if kind is str:
+        return tuple(map(str.strip, cells))
+    n, dtype = len(cells), _DTYPES[kind]
+    joined = "".join(cells)
+    if joined.isascii():
+        try:
+            # An empty cell adds nothing to `joined`, but int("") raises.
+            if kind is int and joined.isdigit():
+                return np.fromiter(map(int, cells), dtype=dtype, count=n)
+            if kind is float and "_" not in joined:
+                return np.fromiter(map(float, cells), dtype=dtype, count=n)
+            if kind is bool and set(cells) <= {"0", "1"}:
+                return np.fromiter(map("1".__eq__, cells), dtype=dtype, count=n)
+        except (ValueError, OverflowError):
+            pass  # read cell by cell below
+    read = _READERS[kind]
+    return np.fromiter((read(cell, 0, column) for cell in cells), dtype=dtype, count=n)
+
+
+# Rows per block of the columnar read.  A block's cells are freed before the
+# next block is read, so the strings of a whole file are never all held at
+# once; much smaller blocks leave more of the malloc heap fragmented.
+_BLOCK_ROWS = 4096
+
+
+def _cell_blocks(data: bytes) -> Iterator[list[str] | None]:
+    """The cells of the data rows, row after row, in blocks of up to
+    `_BLOCK_ROWS` rows; None for a ragged row, which ends the blocks."""
+    block_size = len(CSV_HEADER) * _BLOCK_ROWS
+    cells: list[str] = []
+    for _, row in _csv_rows(data):
+        if len(row) == len(CSV_HEADER):
+            cells += row
+            if len(cells) == block_size:
+                yield cells
+                cells = []
+        elif row:  # a blank line is an empty row, and is skipped
+            yield None
+            return
+    if cells:
+        yield cells
+
+
+def _parse_columns(data: bytes) -> PlayerTable | None:
+    """The table read a block of rows and then a column at a time, or None
+    if a row is ragged or breaks a record rule; a bad cell raises
+    `RowParseError`."""
+    width = len(CSV_HEADER)
+    blocks: list[list] = [[] for _ in CSV_HEADER]  # per column, its blocks
+    for cells in _cell_blocks(data):
+        if cells is None:
+            return None
+        for i, column in enumerate(CSV_HEADER):
+            blocks[i].append(_read_column(cells[i::width], column))
+    columns = {
+        column: np.concatenate(parts) if parts and kind is not str
+        else tuple(chain.from_iterable(parts))
+        for (column, kind), parts in zip(FIELD_TYPES.items(), blocks)
+    }
+    try:
+        return PlayerTable(columns)
+    except InvalidInputError:
+        return None
 
 
 def _csv_rows(data: bytes) -> Iterator[tuple[int, list[str]]]:
@@ -138,12 +220,14 @@ def _csv_rows(data: bytes) -> Iterator[tuple[int, list[str]]]:
     try:
         header = [h.strip() for h in next(reader)]
         if header != list(CSV_HEADER):
-            missing = [c for c in CSV_HEADER if c not in header]
-            extra = [c for c in header if c not in CSV_HEADER]
-            if missing:
-                raise SchemaError(f"missing column(s): {', '.join(missing)}")
-            if extra:
-                raise SchemaError(f"unexpected column(s): {', '.join(extra)}")
+            problems = (
+                ("missing", [c for c in CSV_HEADER if c not in header]),
+                ("unexpected", [c for c in dict.fromkeys(header) if c not in CSV_HEADER]),
+                ("duplicate", [c for c in dict.fromkeys(header) if header.count(c) > 1]),
+            )
+            for problem, columns in problems:
+                if columns:
+                    raise SchemaError(f"{problem} column(s): {', '.join(map(repr, columns))}")
             raise SchemaError("header columns are out of order")
         # A quoted cell may span lines, so a row starts one line after the
         # reader's count at the end of the previous row.
@@ -155,24 +239,43 @@ def _csv_rows(data: bytes) -> Iterator[tuple[int, list[str]]]:
         raise RowParseError(line, "row", str(exc)) from None
 
 
-def parse_players_csv(data: bytes) -> list[PlayerRecord]:
-    """Parse a UTF-8 player CSV into records.
+def parse_players_csv(data: bytes) -> PlayerTable:
+    """Parse a UTF-8 player CSV into a `PlayerTable`.
 
     The header must match `CSV_HEADER` exactly.  Numeric cells are parsed
     strictly: integer cells take at most 18 ASCII digits after leading
     zeros, and float cells only ASCII and no "_".  Category cells are
     whitespace-trimmed with case preserved.  Row numbers in errors are the
     1-based file line a row starts on (header = row 1), counting the lines
-    inside quoted cells.  An empty file yields an empty list.  One leading
+    inside quoted cells.  An empty file yields an empty table.  One leading
     UTF-8 byte-order mark is skipped.  Bytes that are not UTF-8 raise
     `EncodingError` with the offset of the first bad byte; a row the CSV
     reader rejects (such as a cell over its 131 072-character field limit)
     raises `RowParseError`.
 
-    Rows are parsed in file order, so the first bad row is the one
-    reported.  Each cell is read by its `PlayerRecord` field's type, in
-    field order; an integer cell of plain ASCII digits goes straight to
-    `int()`, any other through the full check.
+    The file is read in blocks of `_BLOCK_ROWS` rows, and each block a
+    column at a time: a numeric column goes through one conversion when all
+    its cells are plain, and through the cell readers otherwise (see
+    `_read_column`).  The record rules are checked once per column of the
+    whole table by `PlayerTable`.  A ragged row, a bad cell or a broken
+    rule sends the whole file to the row loop, `_parse_rows`, which alone
+    defines the error messages and row numbers: it reports the first bad
+    row.
+    """
+    try:
+        table = _parse_columns(data)
+    except RowParseError:
+        table = None  # an earlier row may hold a bad cell
+    return _parse_rows(data) if table is None else table
+
+
+def _parse_rows(data: bytes) -> PlayerTable:
+    """`parse_players_csv` row by row, in file order, so the first bad row
+    is the one reported.
+
+    Each cell is read by its `PlayerRecord` field's type, in field order;
+    an integer cell of plain ASCII digits goes straight to `int()`, any
+    other through the full check.
     """
     records: list[PlayerRecord] = []
     for line, row in _csv_rows(data):
@@ -189,35 +292,33 @@ def parse_players_csv(data: bytes) -> list[PlayerRecord]:
         except InvalidInputError as exc:
             raise RowParseError(line, "record", str(exc)) from exc
         records.append(record)
-    return records
+    return PlayerTable.from_records(records)
 
 
-def _first_failing_rule(record: PlayerRecord, cfg: FilterConfig) -> str | None:
-    # Rule order is fixed: age, transfer, value, minutes.
-    if not cfg.min_age <= record.age <= cfg.max_age:
-        return RULE_AGE
-    if cfg.exclude_mid_season_transfers and record.mid_season_transfer:
-        return RULE_TRANSFER
-    if record.market_value_m_eur < cfg.min_market_value_m_eur:
-        return RULE_VALUE
-    if record.minutes_played < cfg.min_minutes:
-        return RULE_MINUTES
-    return None
+def apply_filters(records: Iterable[PlayerRecord],
+                  cfg: FilterConfig = FilterConfig()) -> FilterResult:
+    """Split players into the accepted table and an exclusion log.
 
-
-def apply_filters(records: list[PlayerRecord], cfg: FilterConfig = FilterConfig()) -> FilterResult:
-    """Partition records into the accepted set and an exclusion log.
-
-    Thresholds are inclusive: a record exactly at `min_minutes` or
-    `min_market_value_m_eur` is accepted.  Each excluded record is logged
-    with the first rule it failed.
+    `records` is a `PlayerTable` or any iterable of `PlayerRecord`, made a
+    table by `PlayerTable.from_records`.  Each rule of `RULES` is one mask
+    over the table's columns, in rule order: age window, mid-season
+    transfer, market value floor, minutes floor.  Thresholds are inclusive:
+    a player exactly at `min_minutes` or `min_market_value_m_eur` is
+    accepted; integer thresholds beyond the int64 range compare exactly.
+    Each excluded player is logged with the first rule it failed.
     """
-    accepted: list[PlayerRecord] = []
-    entries: list[ExclusionEntry] = []
-    for record in records:
-        rule = _first_failing_rule(record, cfg)
-        if rule is None:
-            accepted.append(record)
-        else:
-            entries.append(ExclusionEntry(record.name, rule))
-    return FilterResult(accepted=tuple(accepted), log=ExclusionLog(tuple(entries)))
+    table = PlayerTable.from_records(records)
+    fails = (
+        (table.age < cfg.min_age) | (table.age > cfg.max_age),
+        table.mid_season_transfer & cfg.exclude_mid_season_transfers,
+        table.market_value_m_eur < cfg.min_market_value_m_eur,
+        table.minutes_played < cfg.min_minutes,
+    )
+    # The index in RULES of each player's first failed rule; len(RULES) if none.
+    first = np.full(len(table), len(RULES))
+    for k in reversed(range(len(RULES))):
+        first[fails[k]] = k
+    excluded = first < len(RULES)
+    log = ExclusionLog(tuple(compress(table.name, excluded.tolist())),
+                       tuple(map(RULES.__getitem__, first[excluded].tolist())))
+    return FilterResult(accepted=table.compress(~excluded), log=log)

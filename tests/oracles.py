@@ -34,6 +34,7 @@ from marketval.features import (
     ColumnMeta,
     EncodedDataset,
     PlayerRecord,
+    PlayerTable,
     StandardizationParams,
     age_group,
     card_score,
@@ -41,7 +42,18 @@ from marketval.features import (
     height_group,
     match_group,
 )
-from marketval.ingest import CSV_HEADER, _csv_rows, _parse_flag, _parse_float, _parse_int
+from marketval.ingest import (
+    CSV_HEADER,
+    RULE_AGE,
+    RULE_MINUTES,
+    RULE_TRANSFER,
+    RULE_VALUE,
+    FilterConfig,
+    _csv_rows,
+    _parse_flag,
+    _parse_float,
+    _parse_int,
+)
 from marketval.ols import FitResult, fit_ols
 from marketval.selection import EliminationStep, EliminationTrace, ModelSummary
 
@@ -267,12 +279,13 @@ def backward_eliminate_by_refits(
     return EliminationTrace(alpha, tuple(steps), fit, conforming, current)
 
 
-def parse_players_csv_by_rows(data: bytes) -> list[PlayerRecord]:
+def parse_players_csv_by_rows(data: bytes) -> PlayerTable:
     """The data rows of a player CSV, parsed cell by cell.
 
     Each row becomes a dict keyed by column, every integer cell goes through
-    `_parse_int`, and each record is built from keyword arguments.  Decoding,
-    the header check and the row numbering are the package's own.
+    `_parse_int`, and each record is built from keyword arguments; the
+    records are then made a table.  Decoding, the header check and the row
+    numbering are the package's own.
     """
     records = []
     for line, row in _csv_rows(data):
@@ -310,7 +323,38 @@ def parse_players_csv_by_rows(data: bytes) -> list[PlayerRecord]:
         except InvalidInputError as exc:
             raise RowParseError(line, "record", str(exc)) from exc
         records.append(record)
-    return records
+    return PlayerTable.from_records(records)
+
+
+def _first_failing_rule(record: PlayerRecord, cfg: FilterConfig) -> str | None:
+    # Rule order is fixed: age, transfer, value, minutes.
+    if not cfg.min_age <= record.age <= cfg.max_age:
+        return RULE_AGE
+    if cfg.exclude_mid_season_transfers and record.mid_season_transfer:
+        return RULE_TRANSFER
+    if record.market_value_m_eur < cfg.min_market_value_m_eur:
+        return RULE_VALUE
+    if record.minutes_played < cfg.min_minutes:
+        return RULE_MINUTES
+    return None
+
+
+def apply_filters_by_records(
+    records: list[PlayerRecord], cfg: FilterConfig
+) -> tuple[list[PlayerRecord], list[tuple[str, str]]]:
+    """The accepted records and the (name, rule) log, one record at a time.
+
+    Each record is tested rule by rule in rule order with Python
+    comparisons, and the first rule it fails is logged.
+    """
+    accepted, log = [], []
+    for record in records:
+        rule = _first_failing_rule(record, cfg)
+        if rule is None:
+            accepted.append(record)
+        else:
+            log.append((record.name, rule))
+    return accepted, log
 
 
 def encode_dataset_by_levels(records: list[PlayerRecord]) -> EncodedDataset:

@@ -266,7 +266,7 @@ def test_criterion_08_filter_goldens():
         assert [e.rule for e in res.log.entries] == [RULE_VALUE]
 
         res = apply_filters([make_record(mid_season_transfer=True)], cfg)
-        assert res.accepted == ()
+        assert len(res.accepted) == 0
         assert [e.rule for e in res.log.entries] == [RULE_TRANSFER]
         res = apply_filters(
             [make_record(mid_season_transfer=True)],

@@ -126,6 +126,22 @@ class TestFitCommand:
         assert code == EXIT_EMPTY
         assert not (out / "fit.json").exists()
 
+    def test_thresholds_beyond_int64_compare_exactly(self, tmp_path, synth_csv, capsys):
+        huge = str(10**23)
+        out = tmp_path / "none"
+        code = main(["fit", "--input", str(synth_csv), "--out", str(out), "--min-minutes", huge])
+        assert code == EXIT_EMPTY
+        assert capsys.readouterr().err == (
+            "degenerate input: 0 record(s) survived filtering; need at least 2\n")
+        assert not out.exists()
+        wide, every = tmp_path / "wide", tmp_path / "every"
+        assert main(["fit", "--input", str(synth_csv), "--out", str(wide),
+                     "--age-min", f"-{huge}", "--age-max", huge]) == EXIT_OK
+        assert main(["fit", "--input", str(synth_csv), "--out", str(every),
+                     "--age-min", "0", "--age-max", "1000"]) == EXIT_OK
+        for name in ("summary.txt", "fit.json"):
+            assert (wide / name).read_bytes() == (every / name).read_bytes()
+
     def test_nan_value_floor_rejected(self, tmp_path, synth_csv, capsys):
         out = tmp_path / "e"
         code = main(["fit", "--input", str(synth_csv), "--out", str(out), "--min-value", "nan"])

@@ -1,6 +1,8 @@
 """Discretizers, derived statistics and the one-hot design matrix."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from marketval.features import (
     KIND_ENCODED,
     EncodedDataset,
     PlayerRecord,
+    PlayerTable,
     age_group,
     card_score,
     encode_dataset,
@@ -21,7 +24,9 @@ from marketval.features import (
     height_group,
     match_group,
 )
+from marketval.ingest import CSV_HEADER, parse_players_csv
 from marketval.numcore import Matrix
+from marketval.synth import generate_players, records_to_csv
 from oracles import encode_dataset_by_levels
 
 
@@ -86,6 +91,24 @@ class TestDiscretizers:
         with pytest.raises(OutOfRangeError):
             match_group(-1)
 
+    @pytest.mark.parametrize("band, values", [
+        (age_group, range(20, 60)), (height_group, range(160, 230)), (match_group, range(0, 80)),
+    ])
+    def test_bands_of_an_array_are_the_bands_of_its_values(self, band, values):
+        values = list(values)
+        assert band(np.array(values)).tolist() == [band(v) for v in values]
+        assert all(type(band(v)) is int for v in values)
+
+    @pytest.mark.parametrize("band, values, message", [
+        (age_group, [25, 19, 18], "age 19 is below 20, where the age bands start"),
+        (height_group, [170, 150, 140],
+         "height 150 cm is below 160 cm, where the height bands start"),
+        (match_group, [3, -1], "matches_played must be >= 0"),
+    ])
+    def test_band_of_an_array_names_its_first_value_below(self, band, values, message):
+        with pytest.raises(OutOfRangeError, match=f"^{message}$"):
+            band(np.array(values))
+
 
 class TestDerivedStatistics:
     @pytest.mark.parametrize(
@@ -133,6 +156,84 @@ class TestPlayerRecord:
     def test_young_age_rejected(self):
         with pytest.raises(InvalidInputError):
             make_record(age=14)
+
+
+class TestPlayerTable:
+    def records(self):
+        return [make_record(name="A", age=21, mid_season_transfer=True),
+                make_record(name="B", goals=0, market_value_m_eur=7.25),
+                make_record(name="C", foot="left")]
+
+    def test_columns_round_trip_records(self):
+        records = self.records()
+        table = PlayerTable.from_records(records)
+        assert len(table) == 3
+        assert list(table) == records
+        assert [table[i] for i in (0, 1, 2, -1)] == [*records, records[-1]]
+        assert table.name == ("A", "B", "C")
+        assert table.age.dtype == np.int64 and table.age.tolist() == [21, 25, 25]
+        assert table.market_value_m_eur.dtype == np.float64
+        assert table.mid_season_transfer.tolist() == [True, False, False]
+        with pytest.raises(IndexError):
+            table[3]
+
+    def test_read_only(self):
+        table = PlayerTable.from_records(self.records())
+        with pytest.raises(ValueError):
+            table.age[0] = 30
+        with pytest.raises(AttributeError):
+            table.age = np.zeros(3, dtype=np.int64)
+
+    def test_from_records_keeps_a_table_and_takes_none(self):
+        table = PlayerTable.from_records(self.records())
+        assert PlayerTable.from_records(table) is table
+        empty = PlayerTable.from_records([])
+        assert len(empty) == 0 and list(empty) == [] and empty.age.dtype == np.int64
+
+    def test_equality_is_by_columns(self):
+        records = self.records()
+        assert PlayerTable.from_records(records) == PlayerTable.from_records(list(records))
+        assert PlayerTable.from_records(records) != PlayerTable.from_records(records[:2])
+        assert PlayerTable.from_records(records) != records
+
+    def test_compress_keeps_masked_rows_in_order(self):
+        records = self.records()
+        kept = PlayerTable.from_records(records).compress(np.array([True, False, True]))
+        assert list(kept) == [records[0], records[2]]
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("goals", -1, "goals must be >= 0"),
+        ("age", 14, "age must be >= 15"),
+        ("height_cm", 221, "height_cm must be within [140, 220]"),
+        ("market_value_m_eur", float("nan"), "market_value_m_eur must be finite and > 0"),
+        ("foot", "none", "foot must be one of left, right, both"),
+    ])
+    def test_columns_obey_the_record_rules(self, column, value, message):
+        table = PlayerTable.from_records(self.records())
+        columns = {name: list(getattr(table, name)) for name in CSV_HEADER}
+        columns[column][1] = value
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            PlayerTable(columns)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            make_record(**{column: value})
+
+    @pytest.mark.parametrize("value", [10**18, 2**63, 10**30])
+    def test_integers_take_at_most_18_digits(self, value):
+        # As in a CSV cell, so the int64 card score of a table cannot overflow.
+        records = self.records()
+        records[1] = make_record(name="B", red_cards=value)
+        with pytest.raises(InvalidInputError, match="^red_cards holds a value beyond"):
+            PlayerTable.from_records(records)
+        with pytest.raises(InvalidInputError, match="^red_cards holds a value beyond"):
+            encode_dataset(records)
+        records[1] = make_record(name="B", red_cards=10**18 - 1)
+        assert PlayerTable.from_records(records).red_cards[1] == 10**18 - 1
+
+    def test_rejects_ragged_columns(self):
+        table = PlayerTable.from_records(self.records())
+        columns = {name: list(getattr(table, name)) for name in CSV_HEADER}
+        with pytest.raises(InvalidInputError, match="equal lengths"):
+            PlayerTable({**columns, "goals": [1, 2]})
 
 
 class TestEncodeDataset:
@@ -442,3 +543,36 @@ def test_property_encoder_matches_per_level_oracle(records):
         )
 
     assert outcome(encode_dataset) == outcome(encode_dataset_by_levels)
+
+
+def test_table_and_its_records_encode_to_the_same_bytes():
+    records, _ = generate_players(5, 300)
+    table = parse_players_csv(records_to_csv(records).encode("utf-8"))
+    by_table, by_records = encode_dataset(table), encode_dataset(list(table))
+    assert by_table.design.array().tobytes() == by_records.design.array().tobytes()
+    assert by_table.response.tobytes() == by_records.response.tobytes()
+    assert by_table.columns == by_records.columns
+    assert by_table.standardization_params == by_records.standardization_params
+    assert by_table.dropped_levels == by_records.dropped_levels
+
+
+@pytest.mark.parametrize("column, low, message", [
+    ("age", 19, "age 19 is below 20, where the age bands start"),
+    ("height_cm", 150, "height 150 cm is below 160 cm, where the height bands start"),
+])
+def test_band_error_names_the_first_player_below(column, low, message):
+    records = [make_record(name=f"P{i}") for i in range(6)]
+    records[2] = make_record(name="P2", **{column: low})
+    records[4] = make_record(name="P4", **{column: low - 1})
+    with pytest.raises(OutOfRangeError) as exc:
+        encode_dataset(PlayerTable.from_records(records))
+    assert str(exc.value) == f"player 'P2': {message}"
+
+
+def test_age_error_comes_before_an_earlier_players_height_error():
+    # Attributes are encoded in CATEGORICAL_ATTRIBUTES order: age bands before height bands.
+    records = [make_record(name=f"P{i}") for i in range(4)]
+    records[1] = make_record(name="P1", height_cm=150)
+    records[3] = make_record(name="P3", age=19)
+    with pytest.raises(OutOfRangeError, match="^player 'P3': age 19 is below 20"):
+        encode_dataset(records)

@@ -1,6 +1,7 @@
 """CSV parsing, schema enforcement and eligibility filtering."""
 from __future__ import annotations
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marketval import ingest
 from marketval.errors import (
     EncodingError,
     InvalidInputError,
@@ -15,6 +17,7 @@ from marketval.errors import (
     RowParseError,
     SchemaError,
 )
+from marketval.features import PlayerTable
 from marketval.ingest import (
     CSV_HEADER,
     MAX_INT_DIGITS,
@@ -27,7 +30,7 @@ from marketval.ingest import (
     parse_players_csv,
 )
 from marketval.synth import generate_players, records_to_csv
-from oracles import parse_players_csv_by_rows
+from oracles import apply_filters_by_records, parse_players_csv_by_rows
 from test_features import make_record
 
 HEADER_LINE = ",".join(CSV_HEADER)
@@ -48,11 +51,11 @@ def test_readme_schema_block_lists_the_header_in_order():
 
 class TestParse:
     def test_empty_file(self):
-        assert parse_players_csv(b"") == []
-        assert parse_players_csv(b"  \n \n") == []
+        assert list(parse_players_csv(b"")) == []
+        assert list(parse_players_csv(b"  \n \n")) == []
 
     def test_header_only(self):
-        assert parse_players_csv(csv_bytes()) == []
+        assert list(parse_players_csv(csv_bytes())) == []
 
     def test_single_row_round_trip(self):
         records = parse_players_csv(csv_bytes(ROW))
@@ -89,6 +92,14 @@ class TestParse:
         cols[0], cols[1] = cols[1], cols[0]
         with pytest.raises(SchemaError, match="out of order"):
             parse_players_csv(csv_bytes(header=",".join(cols)))
+
+    def test_repeated_column_is_named(self):
+        with pytest.raises(SchemaError, match=r"^duplicate column\(s\): 'goals'$"):
+            parse_players_csv(csv_bytes(header=HEADER_LINE + ",goals"))
+
+    def test_trailing_comma_shows_the_empty_column(self):
+        with pytest.raises(SchemaError, match=r"^unexpected column\(s\): ''$"):
+            parse_players_csv(csv_bytes(header=HEADER_LINE + ","))
 
     def test_non_integer_age_names_row_and_column(self):
         row = ROW.replace(",27,", ",twenty,")
@@ -151,7 +162,7 @@ class TestParse:
         # Only one: a second mark is part of the first header cell.
         with pytest.raises(SchemaError, match="missing column"):
             parse_players_csv(b"\xef\xbb\xbf" * 2 + plain)
-        assert parse_players_csv(b"\xef\xbb\xbf") == []
+        assert list(parse_players_csv(b"\xef\xbb\xbf")) == []
 
     def test_invalid_utf8_reports_byte_offset(self):
         with pytest.raises(EncodingError) as exc_info:
@@ -225,7 +236,7 @@ class TestParse:
             make_record(name="B", mid_season_transfer=True),
         ]
         parsed = parse_players_csv(records_to_csv(records).encode("utf-8"))
-        assert parsed == records
+        assert list(parsed) == records
 
 
 class TestFilterConfig:
@@ -278,7 +289,7 @@ class TestApplyFilters:
     def test_mid_season_excluded(self):
         r = make_record(name="moved", mid_season_transfer=True)
         result = apply_filters([r])
-        assert result.accepted == ()
+        assert len(result.accepted) == 0
         assert result.log.entries[0].rule == RULE_TRANSFER
 
     def test_mid_season_kept_when_disabled(self):
@@ -340,11 +351,11 @@ def test_property_filters_partition_records(records):
 
 @given(st.lists(record_strategy, max_size=20), st.integers(0, 2000))
 def test_property_loosening_minutes_grows_accepted_set(records, threshold):
+    # A table builds new records on demand, so players are told apart by name.
+    records = [dataclasses.replace(r, name=f"P{i}") for i, r in enumerate(records)]
     strict = apply_filters(records, FilterConfig(min_minutes=max(threshold, 500)))
     loose = apply_filters(records, FilterConfig(min_minutes=min(threshold, 500)))
-    strict_ids = {id(r) for r in strict.accepted}
-    loose_ids = {id(r) for r in loose.accepted}
-    assert strict_ids <= loose_ids
+    assert set(strict.accepted.name) <= set(loose.accepted.name)
 
 
 # Rows of a small synthetic CSV, split into cells, for the parser parity test.
@@ -400,3 +411,118 @@ def test_property_parser_matches_row_by_row_oracle(picks, cell_edits, row_edits,
             return type(exc), getattr(exc, "row", None), getattr(exc, "column", None), str(exc)
 
     assert outcome(parse_players_csv) == outcome(parse_players_csv_by_rows)
+
+
+def _synth_bytes(*edits: tuple[int, str, str]) -> bytes:
+    """Eight synthetic rows with cell `column` of row `i` set to `cell` for
+    each edit (i, column, cell); data row i is file row i + 2."""
+    rows = [list(row) for row in SYNTH_ROWS[:8]]
+    for i, column, cell in edits:
+        rows[i][CSV_HEADER.index(column)] = cell
+    return csv_bytes(*map(",".join, rows))
+
+
+def _with_lines(edit):
+    """The lines `edit` makes of eight synthetic rows, as CSV bytes."""
+    return csv_bytes(*edit([",".join(row) for row in SYNTH_ROWS[:8]]))
+
+
+# Inputs at the edges of the columnar read, and whether each parses.
+FAST_PATH_EDGES = {
+    "empty cell among digits": (_synth_bytes((3, "age", "")), False),
+    "18 digits": (_synth_bytes((2, "minutes_played", "9" * 18)), True),
+    "19 digits": (_synth_bytes((2, "minutes_played", "1" + "0" * 18)), False),
+    "19 digits below 2**63": (_synth_bytes((2, "goals", "9" * 18 + "0")), False),
+    "leading zeros past 18 digits": (_synth_bytes((2, "minutes_played", "0" * 7 + "9" * 18)), True),
+    "padded int": (_synth_bytes((1, "age", " 27 ")), True),
+    "signed int": (_synth_bytes((1, "goals", "+3")), True),
+    "int with underscore": (_synth_bytes((1, "goals", "1_0")), False),
+    "float nan": (_synth_bytes((4, "market_value_m_eur", "nan")), False),
+    "float inf": (_synth_bytes((4, "market_value_m_eur", "inf")), False),
+    "float with underscore": (_synth_bytes((4, "market_value_m_eur", "1_0")), False),
+    "empty float": (_synth_bytes((4, "market_value_m_eur", "")), False),
+    "full-width float digits": (_synth_bytes((4, "market_value_m_eur", "９０")), False),
+    "padded float": (_synth_bytes((4, "market_value_m_eur", "\t90.5 ")), True),
+    "flag 1.0": (_synth_bytes((0, "mid_season_transfer", "1.0")), False),
+    "padded flag": (_synth_bytes((0, "mid_season_transfer", " 1")), True),
+    "negative goals row 5, bad int row 7": (
+        _synth_bytes((3, "goals", "-1"), (5, "assists", "x")), False),
+    "bad int row 5, negative goals row 7": (
+        _synth_bytes((3, "assists", "x"), (5, "goals", "-1")), False),
+    # Digits the columnar read takes, so only the record rules see them.
+    "low height row 5, low age row 7": (
+        _synth_bytes((3, "height_cm", "100"), (5, "age", "14")), False),
+    "low age row 5, low height row 7": (
+        _synth_bytes((3, "age", "14"), (5, "height_cm", "100")), False),
+    "unknown foot": (_synth_bytes((6, "foot", "none")), False),
+    "ragged row after valid rows": (_with_lines(lambda lines: [*lines, "a,b,c"]), False),
+    "blank lines": (_with_lines(lambda lines: [*lines[:2], "", *lines[2:5], "", "", *lines[5:]]),
+                    True),
+}
+
+
+@pytest.mark.parametrize("block_rows", [ingest._BLOCK_ROWS, 3])
+@pytest.mark.parametrize("name", FAST_PATH_EDGES)
+def test_columnar_read_matches_row_by_row_oracle(name, block_rows, monkeypatch):
+    # Blocks of 3 rows put the edits in the first, second and third block.
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+    data, parses = FAST_PATH_EDGES[name]
+
+    def outcome(parse):
+        try:
+            return parse(data)
+        except MarketvalError as exc:
+            return type(exc), str(exc)
+
+    expected = outcome(parse_players_csv_by_rows)
+    if parses:
+        # A file without a bad row is read a column at a time, not a second time row by row.
+        monkeypatch.setattr(ingest, "_parse_rows", None)
+    fast = outcome(parse_players_csv)
+    assert fast == expected
+    assert isinstance(fast, PlayerTable) == parses
+    if parses:
+        assert len(fast) == 8
+
+
+def test_records_from_a_table_hold_python_values():
+    table = parse_players_csv(csv_bytes(ROW, ROW.replace("Kane", "Son")))
+    for record in (table[0], table[-1], *table):
+        assert type(record.age) is int
+        assert type(record.market_value_m_eur) is float
+        assert record.mid_season_transfer is False
+    assert [r.name for r in table] == ["Kane", "Son"]
+
+
+@st.composite
+def filter_cases(draw):
+    """Uniquely named records, and filters whose thresholds often sit on a
+    record's own age, minutes or value."""
+    records = draw(st.lists(record_strategy, max_size=20))
+    records = [dataclasses.replace(r, name=f"P{i}") for i, r in enumerate(records)]
+
+    def threshold(field, fallback):
+        values = [getattr(r, field) for r in records]
+        return draw(st.sampled_from(values) | fallback if values else fallback)
+
+    low = threshold("age", st.integers(15, 45))
+    cfg = FilterConfig(
+        min_age=low,
+        max_age=max(low, threshold("age", st.integers(15, 45))),
+        min_minutes=threshold("minutes_played", st.integers(0, 4000)),
+        min_market_value_m_eur=threshold("market_value_m_eur", st.floats(0.0, 200.0)),
+        exclude_mid_season_transfers=draw(st.booleans()),
+    )
+    return records, cfg
+
+
+@settings(max_examples=200)
+@given(filter_cases())
+def test_property_filters_match_record_by_record_oracle(case):
+    records, cfg = case
+    accepted, log = apply_filters_by_records(records, cfg)
+    result = apply_filters(records, cfg)
+    assert list(result.accepted) == accepted
+    assert list(zip(result.log.names, result.log.rules)) == log
+    assert [(e.name, e.rule) for e in result.log.entries] == log
+    assert apply_filters(PlayerTable.from_records(records), cfg) == result

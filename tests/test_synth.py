@@ -81,7 +81,7 @@ class TestGeneratePlayers:
     def test_csv_round_trip(self):
         records, _ = generate_players(21, 40)
         parsed = parse_players_csv(records_to_csv(records).encode("utf-8"))
-        assert parsed == records
+        assert list(parsed) == records
 
     @pytest.mark.parametrize("seed", [0, 1, 42])
     def test_most_rows_survive_default_filters(self, seed):
@@ -118,7 +118,7 @@ RECORDS = st.lists(st.builds(
 class TestRecordsToCsv:
     @given(records=RECORDS)
     def test_parser_reads_back_what_it_writes(self, records):
-        assert parse_players_csv(records_to_csv(records).encode("utf-8")) == records
+        assert list(parse_players_csv(records_to_csv(records).encode("utf-8"))) == records
 
     @pytest.mark.parametrize("column", ["name", "club"])
     def test_carriage_return_names_player_and_column(self, column):

@@ -1,4 +1,5 @@
-"""tools/snapshot_outputs.py on one n = 105 case, and tools/code_lines.py on a small tree."""
+"""tools/snapshot_outputs.py on one n = 105 case, tools/code_lines.py on a small tree,
+and tools/stage_times.py on a small CSV."""
 from __future__ import annotations
 
 from marketval.cli import main
@@ -53,3 +54,15 @@ def test_code_lines_counts_statements_only(tmp_path, capsys):
     assert tool.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "     0 pkg/empty.py", "     7 pkg/shapes.py", "     7 total"]
+
+
+def test_stage_times_names_each_stage(tmp_path, capsys, monkeypatch):
+    tool = load_tool("stage_times")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # restored after the test
+    assert main(["synth", "--seed", "1", "--n", "105", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert tool.main([str(tmp_path / "synth.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(tool.STAGES)
+    assert all(line.endswith(" ms") and float(line.split()[1]) >= 0.0 for line in lines)
+    assert tool.main([]) == 2

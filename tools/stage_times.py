@@ -1,0 +1,70 @@
+"""Time each in-process stage of `marketval fit` on one player CSV.
+
+Usage: python3 tools/stage_times.py CSV
+
+Runs the stages `REPEATS` times in this process on this tree's ``src/``,
+with BLAS on one thread, and prints the median milliseconds of each:
+
+    parse_players_csv        the CSV bytes to a table
+    apply_filters            the default filters
+    apply_filters_narrow     players aged exactly 25 with 3000+ minutes
+    encode_dataset           the default-filtered table to a design
+    fit_ols                  the full model
+    fit_json                 fit.json's text (`fit_to_dict` and `json_dumps`)
+
+Reading the file is not timed.  Each stage takes the previous stage's
+result from the same repeat, so every repeat does the work of one `fit`.
+"""
+from __future__ import annotations
+
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+REPEATS = 7
+STAGES = ("parse_players_csv", "apply_filters", "apply_filters_narrow", "encode_dataset",
+          "fit_ols", "fit_json")
+
+
+def stage_times(data: bytes) -> dict[str, float]:
+    """Median milliseconds of each stage of `STAGES` over `REPEATS` runs."""
+    from marketval.features import encode_dataset
+    from marketval.ingest import FilterConfig, apply_filters, parse_players_csv
+    from marketval.ols import fit_ols
+    from marketval.report import fit_to_dict, json_dumps
+
+    narrow = FilterConfig(min_age=25, max_age=25, min_minutes=3000)
+    runs: dict[str, list[float]] = {stage: [] for stage in STAGES}
+
+    def timed(stage, fn, *args):
+        start = time.perf_counter()
+        result = fn(*args)
+        runs[stage].append((time.perf_counter() - start) * 1e3)
+        return result
+
+    for _ in range(REPEATS):
+        table = timed("parse_players_csv", parse_players_csv, data)
+        accepted = timed("apply_filters", apply_filters, table).accepted
+        timed("apply_filters_narrow", apply_filters, table, narrow)
+        fit = timed("fit_ols", fit_ols, timed("encode_dataset", encode_dataset, accepted))
+        timed("fit_json", lambda: json_dumps(fit_to_dict(fit)))
+    return {stage: statistics.median(times) for stage, times in runs.items()}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    # OpenBLAS reads its thread count when numpy loads it, at the first import below.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    sys.path.insert(0, str(SRC))
+    for stage, ms in stage_times(Path(argv[0]).read_bytes()).items():
+        print(f"{stage:<22}{ms:9.1f} ms")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
