@@ -4,7 +4,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import chain, compress
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -120,22 +119,23 @@ _TYPED_CELLS = tuple((i, _READERS[kind], name)
                      for i, (name, kind) in enumerate(FIELD_TYPES.items()) if kind is not str)
 
 
-def _read_column(cells: list[str], column: str) -> np.ndarray | tuple[str, ...]:
-    """The cells of `column`, read by its `PlayerRecord` field's type.
+def _read_column(cells: list[str], column: str) -> np.ndarray:
+    """The cells of `column`, read by its `PlayerRecord` field's type into
+    an array of the field's dtype.
 
-    Text cells are stripped.  A numeric column is read in one conversion
-    where its cells are plain: ints of ASCII digits, flags "0" and "1",
-    and ASCII floats without "_" that `float()` reads (it ignores
-    surrounding whitespace, so it reads the stripped cell).  Any other
-    column is read cell by cell with the row loop's reader, which raises
-    `RowParseError` on a bad cell (giving row 0: the row loop finds the
-    row).  An int of more than `MAX_INT_DIGITS` digits is left to
-    `PlayerTable` to reject.
+    Text cells are stripped, into an object array of strings.  A numeric
+    column is read in one conversion where its cells are plain: ints of
+    ASCII digits, flags "0" and "1", and ASCII floats without "_" that
+    `float()` reads (it ignores surrounding whitespace, so it reads the
+    stripped cell).  Any other column is read cell by cell with the row
+    loop's reader, which raises `RowParseError` on a bad cell (giving row
+    0: the row loop finds the row).  An int of more than `MAX_INT_DIGITS`
+    digits is left to `PlayerTable` to reject.
     """
     kind = FIELD_TYPES[column]
-    if kind is str:
-        return tuple(map(str.strip, cells))
     n, dtype = len(cells), _DTYPES[kind]
+    if kind is str:
+        return np.fromiter(map(str.strip, cells), dtype=dtype, count=n)
     joined = "".join(cells)
     if joined.isascii():
         try:
@@ -187,11 +187,8 @@ def _parse_columns(data: bytes) -> PlayerTable | None:
             return None
         for i, column in enumerate(CSV_HEADER):
             blocks[i].append(_read_column(cells[i::width], column))
-    columns = {
-        column: np.concatenate(parts) if parts and kind is not str
-        else tuple(chain.from_iterable(parts))
-        for (column, kind), parts in zip(FIELD_TYPES.items(), blocks)
-    }
+    columns = {column: np.concatenate(parts) if parts else ()
+               for column, parts in zip(CSV_HEADER, blocks)}
     try:
         return PlayerTable(columns)
     except InvalidInputError:
@@ -319,6 +316,6 @@ def apply_filters(records: Iterable[PlayerRecord],
     for k in reversed(range(len(RULES))):
         first[fails[k]] = k
     excluded = first < len(RULES)
-    log = ExclusionLog(tuple(compress(table.name, excluded.tolist())),
+    log = ExclusionLog(tuple(table.name[excluded].tolist()),
                        tuple(map(RULES.__getitem__, first[excluded].tolist())))
     return FilterResult(accepted=table.compress(~excluded), log=log)

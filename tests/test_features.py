@@ -170,7 +170,8 @@ class TestPlayerTable:
         assert len(table) == 3
         assert list(table) == records
         assert [table[i] for i in (0, 1, 2, -1)] == [*records, records[-1]]
-        assert table.name == ("A", "B", "C")
+        assert table.name.dtype == object and table.name.tolist() == ["A", "B", "C"]
+        assert type(table.name[0]) is str
         assert table.age.dtype == np.int64 and table.age.tolist() == [21, 25, 25]
         assert table.market_value_m_eur.dtype == np.float64
         assert table.mid_season_transfer.tolist() == [True, False, False]
@@ -183,6 +184,20 @@ class TestPlayerTable:
             table.age[0] = 30
         with pytest.raises(AttributeError):
             table.age = np.zeros(3, dtype=np.int64)
+
+    def test_text_column_of_a_compressed_table_is_read_only(self):
+        kept = PlayerTable.from_records(self.records()).compress(np.array([True, False, True]))
+        with pytest.raises(ValueError):
+            kept.name[0] = "Z"
+        assert kept.name.tolist() == ["A", "C"]
+
+    def test_columns_may_be_any_iterable(self):
+        table = PlayerTable.from_records(self.records())
+        as_tuples = {name: tuple(getattr(table, name).tolist()) for name in CSV_HEADER}
+        from_generators = PlayerTable({name: (v for v in values)
+                                       for name, values in as_tuples.items()})
+        assert from_generators == PlayerTable(as_tuples) == table
+        assert from_generators.name.tolist() == ["A", "B", "C"]
 
     def test_from_records_keeps_a_table_and_takes_none(self):
         table = PlayerTable.from_records(self.records())

@@ -494,6 +494,16 @@ def test_records_from_a_table_hold_python_values():
     assert [r.name for r in table] == ["Kane", "Son"]
 
 
+def test_trailing_nul_of_a_name_survives_parse_filter_and_iteration():
+    young = ROW.replace("Kane", "Son\x00").replace(",27,", ",19,")
+    table = parse_players_csv(csv_bytes(ROW.replace("Kane", "Kane\x00"), young))
+    assert [r.name for r in table] == ["Kane\x00", "Son\x00"]
+    result = apply_filters(table)
+    assert [r.name for r in result.accepted] == ["Kane\x00"]
+    assert result.accepted[0].name == "Kane\x00"
+    assert result.log.names == ("Son\x00",)
+
+
 @st.composite
 def filter_cases(draw):
     """Uniquely named records, and filters whose thresholds often sit on a

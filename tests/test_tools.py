@@ -1,7 +1,8 @@
-"""tools/snapshot_outputs.py on one n = 105 case, tools/code_lines.py on a small tree,
-and tools/stage_times.py on a small CSV."""
+"""tools/snapshot_outputs.py on one n = 105 case and its two hand-built cell cases,
+tools/code_lines.py on a small tree, and tools/stage_times.py on a small CSV."""
 from __future__ import annotations
 
+from marketval import ingest
 from marketval.cli import main
 from conftest import load_tool
 
@@ -21,6 +22,23 @@ def test_snapshot_of_one_case(tmp_path):
                  "--out", str(tmp_path / "select")]) == 0
     for name in ("summary.txt", "fit.json", "trace.json"):
         assert (case / "select" / name).read_bytes() == (tmp_path / "select" / name).read_bytes()
+
+
+def test_snapshot_of_the_cell_cases(tmp_path, monkeypatch):
+    tool = load_tool("snapshot_outputs")
+    tool.snapshot(tmp_path / "snap", (tool.MESSY_CELLS, tool.BAD_CELL))
+    messy, bad = tmp_path / "snap" / tool.MESSY_CELLS, tmp_path / "snap" / tool.BAD_CELL
+    assert {name: (messy / name / "exit_code").read_text() for name in tool.RUNS} == {
+        name: "2\n" if "narrow" in name else "0\n" for name in tool.RUNS}
+    for name in tool.RUNS:
+        assert (bad / name / "exit_code").read_text() == "3\n"
+        assert (bad / name / "stderr").read_text() == (
+            f"input error: row {tool.BAD_ROW + 1}, column 'goals': expected an integer, got 'x'\n")
+    # The unusual cells are valid, so the columnar read takes them all.
+    monkeypatch.setattr(ingest, "_parse_rows", None)
+    table = ingest.parse_players_csv((messy / "input" / "players.csv").read_bytes())
+    assert len(table) == 300
+    assert sum("\n" in name for name in table.name.tolist()) == 100
 
 
 SMALL_MODULE = '''"""Module docstring,

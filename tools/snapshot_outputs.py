@@ -3,13 +3,14 @@
 Usage: python3 tools/snapshot_outputs.py OUT    (OUT must not exist yet)
 
 Generates each input of `CASES` (``marketval synth`` at a fixed n and seed,
-plus one hand-built CSV whose eliminated model has no bias column), then
-runs every command of `RUNS` on it.  Each command runs in a fresh
-interpreter on this tree's ``src/``, with the BLAS thread count left to the
-CLI's default, and from the case's own directory with relative paths, so
-nothing in the snapshot depends on where OUT is.  A run's directory holds
-the files the command wrote plus its ``stdout``, ``stderr`` and
-``exit_code``:
+plus three hand-built CSVs: one whose eliminated model has no bias column,
+one of unusual but valid cells, and one with a bad cell past the first
+block of the columnar read), then runs every command of `RUNS` on it.
+Each command runs in a fresh interpreter on this tree's ``src/``, with the
+BLAS thread count left to the CLI's default, and from the case's own
+directory with relative paths, so nothing in the snapshot depends on where
+OUT is.  A run's directory holds the files the command wrote plus its
+``stdout``, ``stderr`` and ``exit_code``:
 
     OUT/<case>/input/...        the input CSV (and synth's own outputs)
     OUT/<case>/<run>/...
@@ -31,7 +32,9 @@ THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 # seed 4 draws exact dummy twins at n = 105 and 96.
 SYNTH = ((105, 1), (105, 4), (105, 7), (105, 42), (96, 4), (2000, 1), (2000, 7), (20000, 1))
 NO_BIAS = "no-bias"
-CASES = (*(f"n{n}-seed{seed}" for n, seed in SYNTH), NO_BIAS)
+MESSY_CELLS = "messy-cells"
+BAD_CELL = "bad-cell"
+CASES = (*(f"n{n}-seed{seed}" for n, seed in SYNTH), NO_BIAS, MESSY_CELLS, BAD_CELL)
 
 # Players aged exactly 25 with 3000+ minutes: a small subset of a large input.
 NARROW = ("--age-min", "25", "--age-max", "25", "--min-minutes", "3000")
@@ -48,6 +51,8 @@ RUNS = {
 }
 # The no-bias input holds players below the default value floor.
 NO_BIAS_FLAGS = ("--min-value", "0")
+# The bad cell's data row: past the first block of `ingest._BLOCK_ROWS` (4 096) rows.
+BAD_ROW = 5000
 
 
 def no_bias_csv() -> str:
@@ -77,6 +82,57 @@ def no_bias_csv() -> str:
     return "\n".join(lines) + "\n"
 
 
+def messy_cells_csv() -> str:
+    """300 synthetic players (seed 3) in cells that are valid but unusual.
+
+    Names hold a comma, a double quote or a line feed, so the writer quotes
+    them; club names are not ASCII; one cell in six of the other columns is
+    padded with spaces, and one in six of the count and value columns
+    carries a "+" sign.  So each int column and the flag column are read
+    cell by cell; `float()` reads the value column's cells in one call.
+    """
+    import csv
+    import io
+
+    from marketval.features import FIELD_TYPES
+    from marketval.synth import CLUBS, generate_players, records_to_csv
+
+    header, *rows = csv.reader(io.StringIO(records_to_csv(generate_players(3, 300)[0])))
+    clubs = ("München", "Beşiktaş", "Ferencváros", "Śląsk")
+    for i, row in enumerate(rows):
+        row[0] = (f"{row[0]}, Jr.", f'{row[0]} "No. {i}"', f"{row[0]}\n{i}")[i % 3]
+        row[2] = f"{row[2]} {clubs[CLUBS.index(row[2]) % len(clubs)]}"
+        for j, kind in enumerate(FIELD_TYPES.values()):
+            if j and (i + j) % 6 == 0:
+                row[j] = f"  {row[j]} "
+            elif (i + j) % 6 == 3 and kind in (int, float):
+                row[j] = f"+{row[j]}"
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
+
+
+def bad_cell_csv() -> str:
+    """6 000 synthetic players (seed 5) whose data row `BAD_ROW` (file row
+    `BAD_ROW` + 1) has `x` for goals."""
+    from marketval.ingest import CSV_HEADER
+    from marketval.synth import generate_players, records_to_csv
+
+    lines = records_to_csv(generate_players(5, 6000)[0]).split("\n")
+    cells = lines[BAD_ROW].split(",")
+    cells[CSV_HEADER.index("goals")] = "x"
+    lines[BAD_ROW] = ",".join(cells)
+    return "\n".join(lines)
+
+
+# Hand-built inputs: the case's CSV text and the flags of every run on it.
+HAND_BUILT = {
+    NO_BIAS: (no_bias_csv, NO_BIAS_FLAGS),
+    MESSY_CELLS: (messy_cells_csv, ()),
+    BAD_CELL: (bad_cell_csv, ()),
+}
+
+
 def _child_env() -> dict[str, str]:
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -99,10 +155,11 @@ def snapshot(out: Path, cases: tuple[str, ...] = CASES) -> None:
     synth = {f"n{n}-seed{seed}": (n, seed) for n, seed in SYNTH}
     for case in cases:
         case_dir = out / case
-        if case == NO_BIAS:
+        if case in HAND_BUILT:
+            build_csv, flags = HAND_BUILT[case]
             (case_dir / "input").mkdir(parents=True, exist_ok=True)
-            (case_dir / "input" / "players.csv").write_text(no_bias_csv(), encoding="utf-8")
-            source, flags = "input/players.csv", NO_BIAS_FLAGS
+            (case_dir / "input" / "players.csv").write_text(build_csv(), encoding="utf-8")
+            source = "input/players.csv"
         else:
             n, seed = synth[case]
             _run(case_dir, "input", ("synth", "--n", str(n), "--seed", str(seed),
@@ -120,7 +177,7 @@ def main(argv: list[str]) -> int:
     if out.exists():  # files left from another run would show up in the diff
         print(f"{out} exists; give a new directory", file=sys.stderr)
         return 2
-    sys.path.insert(0, str(SRC))  # for `no_bias_csv`
+    sys.path.insert(0, str(SRC))  # for the hand-built inputs
     snapshot(out)
     return 0
 
