@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import HealthCheck, settings
 
+from marketval import ingest
 from marketval.features import (
     KIND_BIAS,
     KIND_CONTINUOUS,
@@ -65,6 +66,20 @@ def child_env(**threads: str) -> dict[str, str]:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env.update(threads)
     return env
+
+
+def count_csv_passes(monkeypatch) -> list[bytes]:
+    """The inputs of every call of `ingest._csv_rows` from now on: one item
+    for each pass of the CSV reader over a file."""
+    passes: list[bytes] = []
+    csv_rows = ingest._csv_rows
+
+    def counted(data: bytes):
+        passes.append(data)
+        return csv_rows(data)
+
+    monkeypatch.setattr(ingest, "_csv_rows", counted)
+    return passes
 
 
 def load_tool(name: str):

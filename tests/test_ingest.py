@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from marketval.ingest import (
     parse_players_csv,
 )
 from marketval.synth import generate_players, records_to_csv
+from conftest import count_csv_passes
 from oracles import apply_filters_by_records, parse_players_csv_by_rows
 from test_features import make_record
 
@@ -410,21 +412,30 @@ def test_property_parser_matches_row_by_row_oracle(picks, cell_edits, row_edits,
         except MarketvalError as exc:
             return type(exc), getattr(exc, "row", None), getattr(exc, "column", None), str(exc)
 
-    assert outcome(parse_players_csv) == outcome(parse_players_csv_by_rows)
+    expected = outcome(parse_players_csv_by_rows)
+    assert outcome(parse_players_csv) == expected
+    # Blocks of 2 rows split the drawn rows, so a bad block is read again in halves.
+    with mock.patch.object(ingest, "_BLOCK_ROWS", 2):
+        assert outcome(parse_players_csv) == expected
 
 
-def _synth_bytes(*edits: tuple[int, str, str]) -> bytes:
+def _synth_lines(*edits: tuple[int, str, str]) -> list[str]:
     """Eight synthetic rows with cell `column` of row `i` set to `cell` for
     each edit (i, column, cell); data row i is file row i + 2."""
     rows = [list(row) for row in SYNTH_ROWS[:8]]
     for i, column, cell in edits:
         rows[i][CSV_HEADER.index(column)] = cell
-    return csv_bytes(*map(",".join, rows))
+    return [",".join(row) for row in rows]
 
 
-def _with_lines(edit):
-    """The lines `edit` makes of eight synthetic rows, as CSV bytes."""
-    return csv_bytes(*edit([",".join(row) for row in SYNTH_ROWS[:8]]))
+def _synth_bytes(*edits: tuple[int, str, str]) -> bytes:
+    """`_synth_lines(*edits)` as CSV bytes."""
+    return csv_bytes(*_synth_lines(*edits))
+
+
+def _with_lines(edit, *edits: tuple[int, str, str]):
+    """The lines `edit` makes of `_synth_lines(*edits)`, as CSV bytes."""
+    return csv_bytes(*edit(_synth_lines(*edits)))
 
 
 # Inputs at the edges of the columnar read, and whether each parses.
@@ -458,6 +469,16 @@ FAST_PATH_EDGES = {
     "ragged row after valid rows": (_with_lines(lambda lines: [*lines, "a,b,c"]), False),
     "blank lines": (_with_lines(lambda lines: [*lines[:2], "", *lines[2:5], "", "", *lines[5:]]),
                     True),
+    # Rows 3 to 5 share a block of 3 rows.
+    "low age row 5, bad int row 6": (_synth_bytes((3, "age", "14"), (4, "goals", "x")), False),
+    # An unquoted carriage return is an error of the CSV reader.
+    "lone carriage return row 6": (_synth_bytes((4, "name", "Ka\rne")), False),
+    "bad int row 5, lone carriage return row 6": (
+        _synth_bytes((3, "goals", "x"), (4, "name", "Ka\rne")), False),
+    "bad int row 3, ragged row 6": (
+        _with_lines(lambda lines: [*lines[:4], "a,b,c", *lines[4:]], (1, "goals", "x")), False),
+    # The last row of the file, and of its last block.
+    "bad int row 9": (_synth_bytes((7, "assists", "x")), False),
 }
 
 
@@ -475,11 +496,10 @@ def test_columnar_read_matches_row_by_row_oracle(name, block_rows, monkeypatch):
             return type(exc), str(exc)
 
     expected = outcome(parse_players_csv_by_rows)
-    if parses:
-        # A file without a bad row is read a column at a time, not a second time row by row.
-        monkeypatch.setattr(ingest, "_parse_rows", None)
+    passes = count_csv_passes(monkeypatch)
     fast = outcome(parse_players_csv)
     assert fast == expected
+    assert len(passes) == 1  # the CSV reader reads the file once, valid or not
     assert isinstance(fast, PlayerTable) == parses
     if parses:
         assert len(fast) == 8

@@ -1,10 +1,11 @@
-"""tools/snapshot_outputs.py on one n = 105 case and its two hand-built cell cases,
-tools/code_lines.py on a small tree, and tools/stage_times.py on a small CSV."""
+"""tools/snapshot_outputs.py on one n = 105 case and its hand-built cell cases,
+tools/code_lines.py on a small tree, and tools/stage_times.py on a small CSV
+and an invalid one."""
 from __future__ import annotations
 
 from marketval import ingest
 from marketval.cli import main
-from conftest import load_tool
+from conftest import count_csv_passes, load_tool
 
 
 def test_snapshot_of_one_case(tmp_path):
@@ -26,19 +27,27 @@ def test_snapshot_of_one_case(tmp_path):
 
 def test_snapshot_of_the_cell_cases(tmp_path, monkeypatch):
     tool = load_tool("snapshot_outputs")
-    tool.snapshot(tmp_path / "snap", (tool.MESSY_CELLS, tool.BAD_CELL))
-    messy, bad = tmp_path / "snap" / tool.MESSY_CELLS, tmp_path / "snap" / tool.BAD_CELL
+    errors = {
+        tool.BAD_CELL: "column 'goals': expected an integer, got 'x'",
+        tool.BAD_RULE: "column 'record': age must be >= 15",
+        tool.RAGGED_ROW: "column 'row': expected 17 cells, got 3",
+    }
+    tool.snapshot(tmp_path / "snap", (tool.MESSY_CELLS, *errors))
+    messy = tmp_path / "snap" / tool.MESSY_CELLS
     assert {name: (messy / name / "exit_code").read_text() for name in tool.RUNS} == {
         name: "2\n" if "narrow" in name else "0\n" for name in tool.RUNS}
-    for name in tool.RUNS:
-        assert (bad / name / "exit_code").read_text() == "3\n"
-        assert (bad / name / "stderr").read_text() == (
-            f"input error: row {tool.BAD_ROW + 1}, column 'goals': expected an integer, got 'x'\n")
-    # The unusual cells are valid, so the columnar read takes them all.
-    monkeypatch.setattr(ingest, "_parse_rows", None)
+    for case, error in errors.items():
+        for name in tool.RUNS:
+            run = tmp_path / "snap" / case / name
+            assert (run / "exit_code").read_text() == "3\n"
+            assert (run / "stderr").read_text() == (
+                f"input error: row {tool.BAD_ROW + 1}, {error}\n")
+    # The unusual cells are valid, and the CSV reader reads them once.
+    passes = count_csv_passes(monkeypatch)
     table = ingest.parse_players_csv((messy / "input" / "players.csv").read_bytes())
     assert len(table) == 300
     assert sum("\n" in name for name in table.name.tolist()) == 100
+    assert len(passes) == 1
 
 
 SMALL_MODULE = '''"""Module docstring,
@@ -84,3 +93,14 @@ def test_stage_times_names_each_stage(tmp_path, capsys, monkeypatch):
     assert [line.split()[0] for line in lines] == list(tool.STAGES)
     assert all(line.endswith(" ms") and float(line.split()[1]) >= 0.0 for line in lines)
     assert tool.main([]) == 2
+
+
+def test_stage_times_of_an_invalid_csv_stop_at_the_parse_error(tmp_path, capsys, monkeypatch):
+    tool = load_tool("stage_times")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # restored after the test
+    lines = (ingest.CSV_HEADER, ("x",) * len(ingest.CSV_HEADER))
+    (tmp_path / "bad.csv").write_text("".join(",".join(line) + "\n" for line in lines))
+    assert tool.main([str(tmp_path / "bad.csv")]) == 0
+    parse, error = capsys.readouterr().out.splitlines()
+    assert parse.split()[0] == "parse_players_csv" and parse.endswith(" ms")
+    assert error == "RowParseError: row 2, column 'age': expected an integer, got 'x'"

@@ -3,9 +3,10 @@
 Usage: python3 tools/snapshot_outputs.py OUT    (OUT must not exist yet)
 
 Generates each input of `CASES` (``marketval synth`` at a fixed n and seed,
-plus three hand-built CSVs: one whose eliminated model has no bias column,
-one of unusual but valid cells, and one with a bad cell past the first
-block of the columnar read), then runs every command of `RUNS` on it.
+plus five hand-built CSVs: one whose eliminated model has no bias column,
+one of unusual but valid cells, and one each with a bad cell, a broken
+record rule and a ragged row past the first block of the columnar read),
+then runs every command of `RUNS` on it.
 Each command runs in a fresh interpreter on this tree's ``src/``, with the
 BLAS thread count left to the CLI's default, and from the case's own
 directory with relative paths, so nothing in the snapshot depends on where
@@ -34,7 +35,10 @@ SYNTH = ((105, 1), (105, 4), (105, 7), (105, 42), (96, 4), (2000, 1), (2000, 7),
 NO_BIAS = "no-bias"
 MESSY_CELLS = "messy-cells"
 BAD_CELL = "bad-cell"
-CASES = (*(f"n{n}-seed{seed}" for n, seed in SYNTH), NO_BIAS, MESSY_CELLS, BAD_CELL)
+BAD_RULE = "bad-rule"
+RAGGED_ROW = "ragged-row"
+CASES = (*(f"n{n}-seed{seed}" for n, seed in SYNTH), NO_BIAS, MESSY_CELLS, BAD_CELL, BAD_RULE,
+         RAGGED_ROW)
 
 # Players aged exactly 25 with 3000+ minutes: a small subset of a large input.
 NARROW = ("--age-min", "25", "--age-max", "25", "--min-minutes", "3000")
@@ -51,7 +55,8 @@ RUNS = {
 }
 # The no-bias input holds players below the default value floor.
 NO_BIAS_FLAGS = ("--min-value", "0")
-# The bad cell's data row: past the first block of `ingest._BLOCK_ROWS` (4 096) rows.
+# The bad data row of the bad-cell, bad-rule and ragged-row cases: past the
+# first block of `ingest._BLOCK_ROWS` (4 096) rows.
 BAD_ROW = 5000
 
 
@@ -112,17 +117,34 @@ def messy_cells_csv() -> str:
     return out.getvalue()
 
 
-def bad_cell_csv() -> str:
+def _bad_row_csv(width: int | None = None, **cells: str) -> str:
     """6 000 synthetic players (seed 5) whose data row `BAD_ROW` (file row
-    `BAD_ROW` + 1) has `x` for goals."""
+    `BAD_ROW` + 1) has `cells` (column -> cell), and only its first `width`
+    cells."""
     from marketval.ingest import CSV_HEADER
     from marketval.synth import generate_players, records_to_csv
 
     lines = records_to_csv(generate_players(5, 6000)[0]).split("\n")
-    cells = lines[BAD_ROW].split(",")
-    cells[CSV_HEADER.index("goals")] = "x"
-    lines[BAD_ROW] = ",".join(cells)
+    row = lines[BAD_ROW].split(",")
+    for column, cell in cells.items():
+        row[CSV_HEADER.index(column)] = cell
+    lines[BAD_ROW] = ",".join(row[:width])
     return "\n".join(lines)
+
+
+def bad_cell_csv() -> str:
+    """`_bad_row_csv` with `x` for goals."""
+    return _bad_row_csv(goals="x")
+
+
+def bad_rule_csv() -> str:
+    """`_bad_row_csv` with age 14, below the record rule's 15."""
+    return _bad_row_csv(age="14")
+
+
+def ragged_row_csv() -> str:
+    """`_bad_row_csv` with 3 cells."""
+    return _bad_row_csv(width=3)
 
 
 # Hand-built inputs: the case's CSV text and the flags of every run on it.
@@ -130,6 +152,8 @@ HAND_BUILT = {
     NO_BIAS: (no_bias_csv, NO_BIAS_FLAGS),
     MESSY_CELLS: (messy_cells_csv, ()),
     BAD_CELL: (bad_cell_csv, ()),
+    BAD_RULE: (bad_rule_csv, ()),
+    RAGGED_ROW: (ragged_row_csv, ()),
 }
 
 

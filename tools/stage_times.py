@@ -14,6 +14,8 @@ with BLAS on one thread, and prints the median milliseconds of each:
 
 Reading the file is not timed.  Each stage takes the previous stage's
 result from the same repeat, so every repeat does the work of one `fit`.
+For a CSV that `parse_players_csv` rejects, it prints the median time of
+the parse up to its error, then the error, and runs no later stage.
 """
 from __future__ import annotations
 
@@ -29,8 +31,11 @@ STAGES = ("parse_players_csv", "apply_filters", "apply_filters_narrow", "encode_
           "fit_ols", "fit_json")
 
 
-def stage_times(data: bytes) -> dict[str, float]:
-    """Median milliseconds of each stage of `STAGES` over `REPEATS` runs."""
+def stage_times(data: bytes) -> tuple[dict[str, float], Exception | None]:
+    """Median milliseconds of each stage of `STAGES` over `REPEATS` runs,
+    and None; or, if the parse fails, its median up to the error, and the
+    error."""
+    from marketval.errors import MarketvalError
     from marketval.features import encode_dataset
     from marketval.ingest import FilterConfig, apply_filters, parse_players_csv
     from marketval.ols import fit_ols
@@ -41,17 +46,23 @@ def stage_times(data: bytes) -> dict[str, float]:
 
     def timed(stage, fn, *args):
         start = time.perf_counter()
-        result = fn(*args)
-        runs[stage].append((time.perf_counter() - start) * 1e3)
-        return result
+        try:
+            return fn(*args)
+        finally:
+            runs[stage].append((time.perf_counter() - start) * 1e3)
 
+    error = None
     for _ in range(REPEATS):
-        table = timed("parse_players_csv", parse_players_csv, data)
+        try:
+            table = timed("parse_players_csv", parse_players_csv, data)
+        except MarketvalError as exc:
+            error = exc
+            continue
         accepted = timed("apply_filters", apply_filters, table).accepted
         timed("apply_filters_narrow", apply_filters, table, narrow)
         fit = timed("fit_ols", fit_ols, timed("encode_dataset", encode_dataset, accepted))
         timed("fit_json", lambda: json_dumps(fit_to_dict(fit)))
-    return {stage: statistics.median(times) for stage, times in runs.items()}
+    return {stage: statistics.median(times) for stage, times in runs.items() if times}, error
 
 
 def main(argv: list[str]) -> int:
@@ -61,8 +72,11 @@ def main(argv: list[str]) -> int:
     # OpenBLAS reads its thread count when numpy loads it, at the first import below.
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.path.insert(0, str(SRC))
-    for stage, ms in stage_times(Path(argv[0]).read_bytes()).items():
+    times, error = stage_times(Path(argv[0]).read_bytes())
+    for stage, ms in times.items():
         print(f"{stage:<22}{ms:9.1f} ms")
+    if error is not None:
+        print(f"{type(error).__name__}: {error}")
     return 0
 
 
