@@ -52,11 +52,12 @@ def breusch_pagan(fit: FitResult) -> dict[str, BreuschPaganResult]:
     """Breusch-Pagan heteroscedasticity test of a fitted model, both variants.
 
     The auxiliary regression of g = e^2 / (rss/n) on the retained columns
-    plus an intercept is a projection onto their span from the fit's own
-    pivoted QR (`fit.factors`): g's residual is `QrFactors.residual`.
-    Without a bias column the basis gains the direction
-    `QrFactors.new_direction` finds for the ones vector, unless the rank cut
-    takes it as lying in that span.  The one projection gives both
+    plus an intercept is a projection onto their span, solved on the fit's
+    own R (`fit.factors`) and design by corrected semi-normal equations:
+    g's residual is `QrFactors.residual`.  Without a bias column the ones
+    vector is taken last: the basis gains the direction
+    `QrFactors.new_direction` finds for it, unless the rank cut takes it as
+    lying in that span.  The one projection gives both
     variants, keyed BP_KOENKER and BP_ORIGINAL: koenker LM = n * R^2_aux,
     original LM = ESS_aux / 2 (R^2 does not depend on the scale of g); a
     constant g gives LM = 0.  p = chi2_sf(LM, df), df = basis width - 1.
@@ -64,17 +65,17 @@ def breusch_pagan(fit: FitResult) -> dict[str, BreuschPaganResult]:
     """
     if fit.df_resid < 1:
         raise InvalidInputError("Breusch-Pagan requires residual degrees of freedom")
-    factors = fit.factors
+    factors, x = fit.factors, fit.design
     n = fit.n_obs
     rank = factors.rank
-    intercept = None if fit.has_bias else factors.new_direction(np.ones(n))
+    intercept = None if fit.has_bias else factors.new_direction(x, np.ones(n))
     df = rank - (0 if intercept is not None else 1)
     if df < 1:
         # No non-bias regressors survived: the test statistic is 0 by construction.
         return {v: BreuschPaganResult(0.0, 0, 1.0, v) for v in (BP_KOENKER, BP_ORIGINAL)}
     e2 = np.asarray(fit.residuals) ** 2
     g = e2 / (fit.rss / n) if fit.rss > 0.0 else e2
-    resid = factors.residual(g)
+    resid = factors.residual(x, g)
     if intercept is not None:
         resid -= intercept * float(intercept @ resid)
     tss = total_sum_of_squares(g, True)
@@ -99,9 +100,10 @@ def vif(data: EncodedDataset, factors: numcore.QrFactors | None = None) -> VifRe
 
     VIF_j = 1 / (1 - R^2_j), where R^2_j is the R^2 of column j regressed
     on all the others: centered when the dataset has a bias column,
-    uncentered otherwise.  Every VIF is read off one pivoted QR of the
-    design, X P = Q R (`factors`, computed when not given), through the
-    identity (Belsley, Kuh & Welsch, *Regression Diagnostics*, 1980)
+    uncentered otherwise.  Every VIF is read off one QR of the design's
+    triangle (`factors`, the fit's, or computed when not given), whose R is
+    the design's, through the identity (Belsley, Kuh & Welsch, *Regression
+    Diagnostics*, 1980)
 
         VIF_j = [(X'X)^{-1}]_jj * S_j,
 
@@ -123,10 +125,10 @@ def vif(data: EncodedDataset, factors: numcore.QrFactors | None = None) -> VifRe
     r_squared_aux 0.  With no non-bias column the report is empty.
 
     Near-singular cases are decided by the R^2 cut (d).  A column dropped
-    by the rank cut has a residual shorter than DEFAULT_RANK_TOL * |R[0, 0]|
-    on the columns pivoted before it, so its VIF exceeds
-    1e20 * S_j / R[0, 0]^2: the R^2 cut has fired already, unless S_j is
-    below 1e-8 * R[0, 0]^2.  Approaching a dependency, the R^2 cut fires
+    by the rank cut has a residual shorter than DEFAULT_RANK_TOL * c on the
+    kept columns before it, where c is the largest column norm, so its VIF
+    exceeds 1e20 * S_j / c^2: the R^2 cut has fired already, unless S_j is
+    below 1e-8 * c^2.  Approaching a dependency, the R^2 cut fires
     when the residual reaches 1e-6 * sqrt(S_j), long before the rank cut.
     The rank cut decides only for columns that small next to the largest
     one, which `ols.fit_ols` drops as well, and through (c) for the
@@ -136,7 +138,7 @@ def vif(data: EncodedDataset, factors: numcore.QrFactors | None = None) -> VifRe
     non_bias = [j for j, c in enumerate(data.columns) if c.kind != KIND_BIAS]
     a = data.design.array()
     if factors is None:
-        factors = numcore.qr_pivoted(data.design)
+        factors = numcore.qr_pivoted(numcore.triangle(a, data.response)[:, :-1])
     inv_gram = numcore.unscaled_covariance(factors)
     infinite = factors.collinear_columns(inv_gram)  # (b), (c)
 

@@ -273,7 +273,8 @@ def parse_players_csv(data: bytes) -> PlayerTable:
     The record rules are then checked once per column of the block by
     `PlayerTable`.  A block that fails is read again in halves down to its
     first bad row, and every check is per row, so the error is always that
-    of the first bad row in the file (see `_read_rows`).
+    of the first bad row in the file (see `_read_rows`).  The checked blocks
+    are joined without checking them again.
     """
     # A loop, not a comprehension: the last block's cells stay bound until
     # the table is built, which leaves less of the malloc heap fragmented
@@ -282,8 +283,7 @@ def parse_players_csv(data: bytes) -> PlayerTable:
     tables = []
     for lines, cells in _row_blocks(data):
         tables.append(_read_rows(lines, cells))
-    return PlayerTable({column: np.concatenate([getattr(t, column) for t in tables])
-                        if tables else () for column in CSV_HEADER})
+    return PlayerTable.concatenate(tables)
 
 
 def apply_filters(records: Iterable[PlayerRecord],

@@ -1,8 +1,11 @@
 """OLS fitting with the full inferential summary.
 
-Coefficients come from the rank-revealing solver in `numcore`, so exactly
-collinear columns are silently dropped (coefficient 0, no inference) rather
-than crashing the fit.  The summary statistics follow the classical
+The design and response are reduced to the (p+1)-row triangle of [X | y]
+(`numcore.triangle`), and the coefficients, their covariance and the rss
+come from the rank-revealing QR of that triangle's columns, so exactly
+collinear columns are dropped (coefficient 0, no inference) rather than
+crashing the fit.  Of an exact dependency, the column that closes it in
+design order is dropped.  The summary statistics follow the classical
 Gaussian-ML conventions: R-squared against a centered total sum of squares
 when a bias column is present and an uncentered one otherwise, adjusted
 R-squared penalized by residual degrees of freedom, the overall F test,
@@ -39,11 +42,13 @@ class FitResult:
     vectors.  `log_likelihood`, `aic` and `bic` are NaN when
     `likelihood_available` is False (perfect fit); the inference vectors
     are NaN throughout when `inference_available` is False (no residual
-    degrees of freedom).  `factors` is the pivoted QR of the design the
-    model was fitted on and the only record of which columns it kept:
-    `dropped_columns` and `retained_columns` read their names from it.
-    Breusch-Pagan, VIF and backward elimination read it instead of
-    factoring the design again.
+    degrees of freedom).  `triangle` is `numcore.triangle` of the design and
+    the response: backward elimination fits its smaller models from it.
+    `factors` is the QR of the triangle's design columns and the only record
+    of which columns the model kept: `dropped_columns` and
+    `retained_columns` read their names from it.  `design` is the design
+    itself, shared, not copied.  Breusch-Pagan, VIF and backward
+    elimination read these instead of factoring the design again.
     """
 
     n_obs: int
@@ -72,6 +77,8 @@ class FitResult:
     inference_available: bool
     likelihood_available: bool
     factors: numcore.QrFactors = field(compare=False, repr=False)
+    triangle: np.ndarray = field(compare=False, repr=False)
+    design: np.ndarray = field(compare=False, repr=False)
     covariance_type: ClassVar[str] = "nonrobust"
 
     @property
@@ -193,17 +200,18 @@ def fit_ols(data: EncodedDataset, confidence_level: float = 0.95) -> FitResult:
     """
     if not 0.0 < confidence_level < 1.0:
         raise InvalidInputError("confidence_level must be in (0, 1)")
-    x = data.design
+    x = data.design.array()
     y = np.asarray(data.response, dtype=float)
-    n = x.rows
-    p = x.cols
+    n, p = x.shape
 
-    factors = numcore.qr_pivoted(x)
-    if factors.rank == 0:
-        raise DegenerateModelError("design matrix has numerical rank zero")
     has_bias = data.has_bias
     with np.errstate(over="ignore", invalid="ignore"):  # reported as an error below
-        solution = numcore.solve_from_factors(factors, x, y)
+        r_a = numcore.triangle(x, y)
+        factors = numcore.qr_pivoted(r_a[:, :p])
+        if factors.rank == 0:
+            raise DegenerateModelError("design matrix has numerical rank zero")
+        # Q'y and the rss are read from the triangle's last column.
+        solution = numcore.solve_from_factors(factors, r_a[:, :p], r_a[:, p])
         tss = total_sum_of_squares(y, has_bias)
     rss = solution.rss
     if not (math.isfinite(tss) and math.isfinite(rss)):
@@ -211,7 +219,7 @@ def fit_ols(data: EncodedDataset, confidence_level: float = 0.95) -> FitResult:
     if tss <= 0.0:
         raise DegenerateResponseError("response has zero total sum of squares")
     beta = solution.coefficients
-    fitted = solution.fitted
+    fitted = x @ beta
     residuals = y - fitted
     rank = factors.rank
 
@@ -278,6 +286,8 @@ def fit_ols(data: EncodedDataset, confidence_level: float = 0.95) -> FitResult:
         inference_available=inference_available,
         likelihood_available=likelihood_available,
         factors=factors,
+        triangle=r_a,
+        design=x,
     )
 
 

@@ -1,13 +1,12 @@
 """Backward elimination of regressors by p-value, with a full audit trace.
 
-The design X is factored once, X = QR.  Every later model is fitted on the
-compressed problem [R | Q'y] instead of on X: for any column subset S the
-least-squares fit of y on X_S equals the fit of Q'y on the columns S of R
-(columns in design order), and its rss is that fit's rss plus
-rho^2 = ||y - QQ'y||^2, all three formed once by `QrFactors.compress`.  A
-step therefore factors a p x k matrix, whatever the number of rows (Golub &
-Van Loan, Matrix Computations, section 6.5; Miller, Subset Selection in
-Regression, ch. 2).
+The first fit reduces [X | y] to its (p+1)-row triangle R_a
+(`numcore.triangle`, kept as `FitResult.triangle`).  Every later model is
+fitted on R_a instead of on X: for any column subset S the least-squares
+fit of y on X_S equals the fit of R_a's last column on R_a's columns S,
+with the same rss.  A step therefore factors a (p+1) x k matrix, whatever
+the number of rows (Golub & Van Loan, Matrix Computations, section 6.5;
+Miller, Subset Selection in Regression, ch. 2).
 
 The compressed fit agrees with a refit of X_S only to rounding, so it
 decides a step only when rounding cannot change the decision (see
@@ -26,10 +25,10 @@ from .features import EncodedDataset
 from .ols import (FitResult, adjusted_r_squared, coefficient_tests, fit_ols, r_squared,
                   total_sum_of_squares, two_sided_p)
 
-# A compressed step decides only when its pivoted R has |r_00 / r_kk| at most
-# this.  On random designs with near twins the worst p-value of such steps
-# stayed within 5.5e-13 relative of a refit's; at 300-400 it reached 1.1e-12,
-# past the 1e-12 that trace replay allows.
+# A compressed step decides only when the largest |r_ii| of its R is at most
+# this many times the smallest.  On random designs with near twins the worst
+# p-value of such steps stayed within 5.5e-13 relative of a refit's; at
+# 300-400 it reached 1.1e-12, past the 1e-12 that trace replay allows.
 MAX_COMPRESSED_CONDITION = 200.0
 # Relative gap the worst p-value must keep from the runner-up and from alpha
 # for a compressed step to decide; closer calls are left to a refit.
@@ -84,32 +83,29 @@ def _worst_retained(fit: FitResult) -> _Worst | None:
 
 
 def _compressed_state(
-    data: EncodedDataset, keep: list[int],
-    compressed: tuple[np.ndarray, np.ndarray, float], alpha: float,
+    data: EncodedDataset, keep: list[int], r_a: np.ndarray, alpha: float,
 ) -> tuple[_Worst, ModelSummary] | None:
-    """Worst column and summary of the model on `keep`, from [R | Q'y].
+    """Worst column and summary of the model on `keep`, from the triangle `r_a`.
 
-    `compressed` is the full design's `QrFactors.compress`.  Returns None,
-    leaving the step to a refit, unless the decision is certified: the
-    factors of the compressed columns are
+    `r_a` is `numcore.triangle` of the full design and the response.
+    Returns None, leaving the step to a refit, unless the decision is
+    certified: the factors of the compressed columns are
     `QrFactors.well_conditioned(MAX_COMPRESSED_CONDITION)`, and the worst
     p-value is more than `_DECISION_MARGIN` (relative) away from both the
     runner-up and alpha.  Only the two smallest |t| get a p-value: at fixed
     degrees of freedom p falls as |t| rises.
     """
-    r, qty, rho2 = compressed
     k = len(keep)
     df_resid = data.design.rows - k
-    x = numcore.Matrix(r[:, keep])
+    x = numcore.Matrix(r_a[:, keep])
     factors = numcore.qr_pivoted(x)
     if df_resid < 1 or not factors.well_conditioned(MAX_COMPRESSED_CONDITION):
         return None
-    solution = numcore.solve_from_factors(factors, x, qty)
-    rss = solution.rss + rho2
-    if rss <= 0.0:
+    solution = numcore.solve_from_factors(factors, x, r_a[:, -1])
+    if solution.rss <= 0.0:
         return None
     _, t = coefficient_tests(
-        solution.coefficients, numcore.unscaled_covariance(factors), rss, df_resid)
+        solution.coefficients, numcore.unscaled_covariance(factors), solution.rss, df_resid)
     candidates = sorted(
         ((two_sided_p(float(t[pos]), df_resid), int(pos))
          for pos in np.argsort(np.abs(t), kind="stable")[:2]),
@@ -121,7 +117,7 @@ def _compressed_state(
     if abs(p - alpha) <= _DECISION_MARGIN * alpha:
         return None
     has_bias = data.has_bias and keep[0] == 0
-    r2 = r_squared(rss, total_sum_of_squares(data.response, has_bias))
+    r2 = r_squared(solution.rss, total_sum_of_squares(data.response, has_bias))
     summary = ModelSummary(k, r2, adjusted_r_squared(r2, data.design.rows, df_resid, has_bias))
     return (pos, p), summary
 
@@ -138,10 +134,10 @@ def backward_eliminate(
     columns dropped as collinear remain beside it; if its p-value still
     exceeds alpha the trace is flagged non-conforming.
 
-    The first fit's factorization (`FitResult.factors`) compresses the
-    design; the rounds after it fit the compressed problem (module
-    docstring) and fall back to a full refit for any round the compressed
-    fit cannot decide exactly.  The removed columns, every `k_params` and
+    The first fit's triangle (`FitResult.triangle`) compresses the design;
+    the rounds after it fit the compressed problem (module docstring) and
+    fall back to a full refit for any round the compressed fit cannot
+    decide exactly.  The removed columns, every `k_params` and
     the final fit are those of refitting every round; recorded p-values
     and R^2 may differ from a refit's in the last digits (at most ~1e-12
     relative).
@@ -156,7 +152,7 @@ def backward_eliminate(
             "initial fit has no residual degrees of freedom; cannot rank p-values"
         )
     fit_data: EncodedDataset | None = data
-    compressed = fit.factors.compress(data.response)
+    r_a = fit.triangle
     keep = list(range(data.design.cols))
     worst = _worst_retained(fit)
     k_params = fit.k_params
@@ -169,9 +165,9 @@ def backward_eliminate(
         pos, p = worst
         name = data.column_names[keep[pos]]
         del keep[pos]
-        # Neither its n x p Q nor its design may stay alive beside the next fit's.
+        # The fit's design may not stay alive beside the next fit's.
         fit = fit_data = None
-        state = _compressed_state(data, keep, compressed, alpha)
+        state = _compressed_state(data, keep, r_a, alpha)
         if state is None:
             fit_data = data.select_columns(keep)
             fit = fit_ols(fit_data, confidence_level)

@@ -204,11 +204,11 @@ def breusch_pagan_by_aux_regression(
 ) -> BreuschPaganResult:
     """Breusch-Pagan test by an explicit auxiliary least-squares regression.
 
-    The auxiliary design is [1, X_retained]: the columns the fit kept, with
-    a ones column prepended when the model has no bias column, factored
-    anew with its own rank cut.  The koenker variant regresses e^2 and
-    takes LM = n * R^2 (centered); the original regresses
-    g = e^2 / (rss/n) and takes LM = ESS / 2.  df is the auxiliary rank
+    The auxiliary design is [X_retained, 1]: the columns the fit kept, with
+    a ones column appended when the model has no bias column, factored anew
+    with its own rank cut, which takes the columns in that order.  The
+    koenker variant regresses e^2 and takes LM = n * R^2 (centered); the
+    original regresses g = e^2 / (rss/n) and takes LM = ESS / 2.  df is the auxiliary rank
     minus one, and a zero-variance target gives R^2 = ESS = 0.
     """
     n = fit.n_obs
@@ -216,7 +216,7 @@ def breusch_pagan_by_aux_regression(
     keep = [j for j, name in enumerate(data.column_names) if name not in dropped]
     aux = data.design.array()[:, keep]
     if not data.has_bias:
-        aux = np.column_stack([np.ones(n), aux])
+        aux = np.column_stack([aux, np.ones(n)])
     e2 = np.asarray(fit.residuals) ** 2
     target = e2 if variant == BP_KOENKER else e2 / (fit.rss / n)
     solution = numcore.least_squares_solve(aux, target)

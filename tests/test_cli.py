@@ -353,36 +353,61 @@ class TestDiagnoseCommand:
 
 class TestDiagnoseFactorizations:
     @staticmethod
-    def tall_qr_calls(monkeypatch, argv):
-        """Exit code and number of `qr_pivoted` calls on the full n-row design.
+    def reductions(monkeypatch, argv):
+        """Exit code and number of `numcore.triangle` calls of one command.
 
-        Backward elimination also factors p-row compressed problems; n > p,
-        so the tall calls are those with the most rows.
+        Also checks that each `fit_ols` call makes exactly one such blocked
+        reduction, and that no `qr_pivoted` call factors more than p + 1
+        rows, p being the width of the command's design.
         """
-        rows = []
-        original = numcore.qr_pivoted
+        from marketval import ols, selection
 
-        def counting(*args, **kwargs):
-            factors = original(*args, **kwargs)
-            rows.append(factors.q.shape[0])
-            return factors
+        widths, factored_rows, per_fit = [], [], []
+        triangle, qr, fit = numcore.triangle, numcore.qr_pivoted, ols.fit_ols
 
-        monkeypatch.setattr(numcore, "qr_pivoted", counting)
+        def counting_triangle(x, y):
+            widths.append(x.shape[1])
+            return triangle(x, y)
+
+        def counting_qr(m, *args, **kwargs):
+            factored_rows.append(numcore.as_matrix(m).rows)
+            return qr(m, *args, **kwargs)
+
+        def counting_fit(*args, **kwargs):
+            before = len(widths)
+            result = fit(*args, **kwargs)
+            per_fit.append(len(widths) - before)
+            return result
+
+        monkeypatch.setattr(numcore, "triangle", counting_triangle)
+        monkeypatch.setattr(numcore, "qr_pivoted", counting_qr)
+        for module in (ols, selection, sys.modules["marketval.cli"]):
+            monkeypatch.setattr(module, "fit_ols", counting_fit)
         code = main(argv)
         monkeypatch.undo()
-        return code, rows.count(max(rows))
+        assert per_fit and per_fit == [1] * len(per_fit)
+        assert max(factored_rows) <= widths[0] + 1
+        return code, len(widths)
+
+    @pytest.mark.parametrize("command", [["fit"], ["select"], ["diagnose"],
+                                         ["diagnose", "--select"]])
+    def test_every_factorization_is_of_at_most_p_plus_one_rows(
+            self, tmp_path, synth_csv, monkeypatch, command):
+        argv = [*command, "--input", str(synth_csv), "--out", str(tmp_path / "o")]
+        code, reductions = self.reductions(monkeypatch, argv)
+        assert code == EXIT_OK and reductions >= 1
 
     def test_full_model_factored_once(self, tmp_path, synth_csv, monkeypatch):
         argv = ["diagnose", "--input", str(synth_csv), "--out", str(tmp_path / "d")]
-        assert self.tall_qr_calls(monkeypatch, argv) == (EXIT_OK, 1)
+        assert self.reductions(monkeypatch, argv) == (EXIT_OK, 1)
 
     def test_select_adds_no_factorization(self, tmp_path, synth_csv, monkeypatch):
         # The final fit of elimination carries the factorization diagnose needs.
         common = ["--input", str(synth_csv), "--alpha", "0.05"]
-        code, select_calls = self.tall_qr_calls(
+        code, select_calls = self.reductions(
             monkeypatch, ["select", *common, "--out", str(tmp_path / "s")])
         assert code == EXIT_OK and select_calls >= 1
-        code, diagnose_calls = self.tall_qr_calls(
+        code, diagnose_calls = self.reductions(
             monkeypatch, ["diagnose", "--select", *common, "--out", str(tmp_path / "d")])
         assert code == EXIT_OK
         assert diagnose_calls == select_calls

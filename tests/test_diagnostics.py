@@ -32,6 +32,7 @@ def fit_with_residuals(data, residuals):
     residuals = np.asarray(residuals, dtype=float)
     n = len(residuals)
     p = data.design.cols
+    triangle = numcore.triangle(data.design.array(), data.response)
     return FitResult(
         n_obs=n,
         k_params=p,
@@ -58,7 +59,9 @@ def fit_with_residuals(data, residuals):
         fitted=np.asarray(data.response) - residuals,
         inference_available=True,
         likelihood_available=True,
-        factors=numcore.qr_pivoted(data.design),
+        factors=numcore.qr_pivoted(triangle[:, :-1]),
+        triangle=triangle,
+        design=data.design.array(),
     )
 
 
@@ -354,8 +357,8 @@ class TestBreuschPaganAgainstAuxRegression:
         fit = fit_ols(data)
         assume(fit.df_resid >= 1)
         factors = numcore.qr_pivoted(data.design)
-        pivots = np.abs(np.diag(factors.r))
-        well_conditioned = pivots[0] <= 1e3 * pivots[factors.rank - 1]
+        pivots = np.abs(np.diag(factors.r))[: factors.rank]
+        well_conditioned = pivots.max() <= 1e3 * pivots.min()
         for variant in (BP_KOENKER, BP_ORIGINAL):
             fast = breusch_pagan(fit)[variant]
             slow = breusch_pagan_by_aux_regression(fit, data, variant)
@@ -374,16 +377,16 @@ class TestBreuschPaganAgainstAuxRegression:
         # No bias column; the columns are scale * h1 and
         # near_ones_scale * (ones + d h2).  The ones vector lies
         # d/sqrt(1 + d^2) * sqrt(8) from their span, and the cut is
-        # 1e-10 * max(|R00|, sqrt(8)).
+        # 1e-10 * max(largest column norm, sqrt(8)).
         design = np.column_stack([scale * _H1, near_ones_scale * (np.ones(8) + d * _H2)])
         y = np.array([1.0, 4.0, -2.0, 3.0, 0.5, -6.0, 2.0, 9.0])
         return dataset_from_arrays(design, y, bias=False)
 
     @pytest.mark.parametrize("d, df", [(0.98e-4, 1), (1.02e-4, 2)])
     def test_intercept_cut_scaled_by_largest_column(self, d, df):
-        # |R00| = 1e6 sqrt(8): the cut sits at d = 1e-4.  The near-ones
-        # column is longer than the ones vector, so the oracle's own
-        # factorization pivots the ones vector last and cuts the same way.
+        # The largest column norm is 1e6 sqrt(8): the cut sits at d = 1e-4.
+        # The oracle's own factorization takes the ones vector last and
+        # cuts the same way.
         data = self.intercept_case(1e6, 1.0, d)
         fit = fit_ols(data)
         assert fit.dropped_columns == ()
@@ -396,15 +399,13 @@ class TestBreuschPaganAgainstAuxRegression:
     @pytest.mark.parametrize("d, df", [(0.98e-10, 1), (1.02e-10, 2)])
     def test_intercept_cut_scaled_by_sqrt_n(self, d, df):
         # Columns of length 1e-3 sqrt(8): sqrt(8) sets the cut, at d = 1e-10.
-        # The oracle pivots its ones column first and cuts the short
-        # near-ones column, whose residual is 1e-3 times the ones vector's:
-        # it reports df 1 up to d = 1e-7.
+        # The oracle takes its ones column last too, and cuts the same way.
         data = self.intercept_case(1e-3, 1e-3, d)
         fit = fit_ols(data)
         assert fit.dropped_columns == ()
         for variant in (BP_KOENKER, BP_ORIGINAL):
             assert breusch_pagan(fit)[variant].df == df
-            assert breusch_pagan_by_aux_regression(fit, data, variant).df == 1
+            assert breusch_pagan_by_aux_regression(fit, data, variant).df == df
 
 
 # Orthogonal, centered +-1 columns of length 8 (Hadamard rows).

@@ -505,6 +505,24 @@ def test_columnar_read_matches_row_by_row_oracle(name, block_rows, monkeypatch):
         assert len(fast) == 8
 
 
+@pytest.mark.parametrize("block_rows, blocks", [(ingest._BLOCK_ROWS, 1), (3, 3)])
+def test_valid_file_is_checked_once_per_block(block_rows, blocks, monkeypatch):
+    # Each block is checked as it is read; joining the blocks checks nothing again.
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+    checked: list[int] = []
+    init = PlayerTable.__init__
+
+    def counting(self, columns):
+        checked.append(len(columns["name"]))
+        init(self, columns)
+
+    monkeypatch.setattr(PlayerTable, "__init__", counting)
+    table = parse_players_csv(_synth_bytes())
+    assert len(table) == 8
+    assert len(checked) == blocks and sum(checked) == 8
+    assert table == parse_players_csv_by_rows(_synth_bytes())
+
+
 def test_records_from_a_table_hold_python_values():
     table = parse_players_csv(csv_bytes(ROW, ROW.replace("Kane", "Son")))
     for record in (table[0], table[-1], *table):

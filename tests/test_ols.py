@@ -400,6 +400,8 @@ class TestCoefficientTable:
             inference_available=True,
             likelihood_available=True,
             factors=qr_pivoted(np.eye(n, p)),
+            triangle=np.eye(p + 1),
+            design=np.eye(n, p),
         )
 
     def test_summary_row_frozen_values(self):

@@ -343,9 +343,14 @@ class TestCompressedElimination:
         x = np.column_stack([np.ones(n), rng.normal(size=(n, 3 + n_noise))])
         y = 5.0 + x[:, 1:4] @ np.array([3.0, -2.0, 4.0]) + rng.normal(size=n)
         data = dataset_from_arrays(x, y)
+        rows_reduced: list[int] = []
         rows_factored: list[int] = []
         selections: list[int] = []
-        qr, select = numcore.qr_pivoted, EncodedDataset.select_columns
+        reduce, qr, select = numcore.triangle, numcore.qr_pivoted, EncodedDataset.select_columns
+
+        def counting_triangle(x, y):
+            rows_reduced.append(x.shape[0])
+            return reduce(x, y)
 
         def counting_qr(m, *args, **kwargs):
             rows_factored.append(numcore.as_matrix(m).rows)
@@ -355,12 +360,16 @@ class TestCompressedElimination:
             selections.append(len(keep))
             return select(self, keep)
 
+        monkeypatch.setattr(numcore, "triangle", counting_triangle)
         monkeypatch.setattr(numcore, "qr_pivoted", counting_qr)
         monkeypatch.setattr(EncodedDataset, "select_columns", counting_select)
         trace = backward_eliminate(data, 0.001)
         assert len(trace.steps) == steps
-        assert rows_factored.count(n) == (1 if steps == 0 else 2)
-        assert len(rows_factored) - rows_factored.count(n) == steps
+        # The first fit and the final refit reduce the tall design; every
+        # factorization, theirs and each step's, has at most p + 1 rows.
+        assert rows_reduced == [n] * (1 if steps == 0 else 2)
+        assert max(rows_factored) <= data.design.cols + 1
+        assert len(rows_factored) == len(rows_reduced) + steps
         assert len(selections) == (0 if steps == 0 else 1)
 
     @pytest.mark.parametrize("twin, refits", [(False, 1), (True, 3)])
@@ -373,13 +382,16 @@ class TestCompressedElimination:
         if twin:
             x = np.column_stack([x, x[:, 1]])
         y = 1.0 + 3.0 * x[:, 1] + rng.normal(size=60)
-        earlier_q: list[weakref.ref] = []
+        # The first fit's design is the input's, and its triangle serves every
+        # compressed step: only a refit's design and triangle are tracked.
+        earlier: list[weakref.ref] = []
         released: list[bool] = []
 
         def tracking_fit(*args, **kwargs):
-            released.append(all(ref() is None for ref in earlier_q))
+            released.append(all(ref() is None for ref in earlier))
             fit = fit_ols(*args, **kwargs)
-            earlier_q.append(weakref.ref(fit.factors.q))
+            if len(released) > 1:
+                earlier.extend((weakref.ref(fit.design), weakref.ref(fit.triangle)))
             return fit
 
         monkeypatch.setattr(selection, "fit_ols", tracking_fit)
@@ -419,8 +431,8 @@ class TestWorstRetained:
 
 
 def compressed_state(data, keep, alpha):
-    factors = numcore.qr_pivoted(data.design)
-    return _compressed_state(data, keep, factors.compress(data.response), alpha)
+    return _compressed_state(data, keep, numcore.triangle(data.design.array(), data.response),
+                             alpha)
 
 
 class TestCompressedStepCertification:
@@ -475,6 +487,6 @@ class TestCompressedStepCertification:
     def test_ill_conditioned_step_left_to_refit(self, scale, certified):
         data = self.design(lambda x, rng: x[:, 3] + scale * rng.normal(size=60))
         keep = [0, 1, 2, 3, 5]
-        r = numcore.qr_pivoted(data.design.array()[:, keep]).r
-        assert (abs(r[0, 0] / r[-1, -1]) <= MAX_COMPRESSED_CONDITION) == certified
+        pivots = np.abs(np.diag(numcore.qr_pivoted(data.design.array()[:, keep]).r))
+        assert (pivots.max() / pivots.min() <= MAX_COMPRESSED_CONDITION) == certified
         assert (compressed_state(data, keep, 0.05) is not None) == certified

@@ -1,6 +1,6 @@
 """tools/snapshot_outputs.py on one n = 105 case and its hand-built cell cases,
-tools/code_lines.py on a small tree, and tools/stage_times.py on a small CSV
-and an invalid one."""
+tools/code_lines.py on a small tree, tools/stage_times.py on a small CSV and
+an invalid one, and tools/compare_snapshots.py on two small trees."""
 from __future__ import annotations
 
 from marketval import ingest
@@ -91,7 +91,11 @@ def test_stage_times_names_each_stage(tmp_path, capsys, monkeypatch):
     assert tool.main([str(tmp_path / "synth.csv")]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == list(tool.STAGES)
-    assert all(line.endswith(" ms") and float(line.split()[1]) >= 0.0 for line in lines)
+    fields = [line.split()[1:] for line in lines]
+    assert all(f[1] == "ms" and f[3] == "MB" and float(f[0]) >= 0.0 for f in fields)
+    # The peak RSS after each stage of the first repeat never falls.
+    peaks = [float(f[2]) for f in fields]
+    assert peaks == sorted(peaks) and peaks[0] > 0.0
     assert tool.main([]) == 2
 
 
@@ -102,5 +106,43 @@ def test_stage_times_of_an_invalid_csv_stop_at_the_parse_error(tmp_path, capsys,
     (tmp_path / "bad.csv").write_text("".join(",".join(line) + "\n" for line in lines))
     assert tool.main([str(tmp_path / "bad.csv")]) == 0
     parse, error = capsys.readouterr().out.splitlines()
-    assert parse.split()[0] == "parse_players_csv" and parse.endswith(" ms")
+    assert parse.split()[0] == "parse_players_csv" and parse.split()[2::2] == ["ms", "MB"]
     assert error == "RowParseError: row 2, column 'age': expected an integer, got 'x'"
+
+
+def test_compare_snapshots_reports_numbers_and_text(tmp_path, capsys):
+    tool = load_tool("compare_snapshots")
+    files = {
+        "same/fit.json": ('{"coef": 1.5, "df": 3}\n', '{"coef": 1.5, "df": 3}\n'),
+        "a/fit.json": ('{"coef": 2.0, "rss": 4.0e-03}\n',
+                       '{"coef": 2.000000002, "rss": 4.0e-03}\n'),
+        "b/fit.json": ('{"coef": 1.0, "df": 3}\n', '{"coef": 1.1, "df": 4}\n'),
+        "b/summary.txt": ("head\nDropped: club=Club 13\nx 0.5\n",
+                          "head\nDropped: club=Club 36\nx 0.25\n"),
+        "b/residuals.csv": ("".join(f"{i}.0,1.0\n" for i in range(500)),
+                            "".join(f"{i}.0,{-1.0 if i == 7 else 1.0}\n" for i in range(500))),
+        "old-only": ("1\n", None),
+    }
+    for rel, texts in files.items():
+        for root, text in zip(("old", "new"), texts):
+            if text is not None:
+                (tmp_path / root / rel).parent.mkdir(parents=True, exist_ok=True)
+                (tmp_path / root / rel).write_text(text)
+    assert tool.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "a/fit.json: largest relative difference 1e-09 (2.0 against 2.000000002)",
+        # The count changed, so the line is text: its float is not compared.
+        "b/fit.json: largest relative difference 0",
+        '    - {"coef": 1.0, "df": 3}',
+        '    + {"coef": 1.1, "df": 4}',
+        "b/residuals.csv: largest relative difference 2 (1.0 against -1.0)",
+        "b/summary.txt: largest relative difference 0.5 (0.5 against 0.25)",
+        "    - Dropped: club=Club 13",
+        "    + Dropped: club=Club 36",
+        f"old-only: only in {tmp_path / 'old'}",
+        "fit.json: largest relative difference 1e-09 over the tree",
+        "residuals.csv: largest relative difference 2 over the tree",
+        "summary.txt: largest relative difference 0.5 over the tree",
+    ]
+    assert tool.main([str(tmp_path / "old" / "same"), str(tmp_path / "new" / "same")]) == 0
+    assert capsys.readouterr().out == ""

@@ -3,7 +3,9 @@
 Usage: python3 tools/stage_times.py CSV
 
 Runs the stages `REPEATS` times in this process on this tree's ``src/``,
-with BLAS on one thread, and prints the median milliseconds of each:
+with BLAS on one thread, and prints the median milliseconds of each, then
+the process's peak RSS (`ru_maxrss`) in MB after that stage of the first
+repeat:
 
     parse_players_csv        the CSV bytes to a table
     apply_filters            the default filters
@@ -15,11 +17,13 @@ with BLAS on one thread, and prints the median milliseconds of each:
 Reading the file is not timed.  Each stage takes the previous stage's
 result from the same repeat, so every repeat does the work of one `fit`.
 For a CSV that `parse_players_csv` rejects, it prints the median time of
-the parse up to its error, then the error, and runs no later stage.
+the parse up to its error, then the error, and runs no later stage.  The
+peak RSS counts the process's own start-up, the imports and the file read.
 """
 from __future__ import annotations
 
 import os
+import resource
 import statistics
 import sys
 import time
@@ -31,10 +35,15 @@ STAGES = ("parse_players_csv", "apply_filters", "apply_filters_narrow", "encode_
           "fit_ols", "fit_json")
 
 
-def stage_times(data: bytes) -> tuple[dict[str, float], Exception | None]:
-    """Median milliseconds of each stage of `STAGES` over `REPEATS` runs,
-    and None; or, if the parse fails, its median up to the error, and the
-    error."""
+def peak_rss_mb() -> float:
+    """This process's peak resident set so far, in MB (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def stage_times(data: bytes) -> tuple[dict[str, tuple[float, float]], Exception | None]:
+    """Median milliseconds of each stage of `STAGES` over `REPEATS` runs, and
+    the peak RSS in MB after it in the first run, with None; or, if the parse
+    fails, those of the parse up to the error, and the error."""
     from marketval.errors import MarketvalError
     from marketval.features import encode_dataset
     from marketval.ingest import FilterConfig, apply_filters, parse_players_csv
@@ -43,6 +52,7 @@ def stage_times(data: bytes) -> tuple[dict[str, float], Exception | None]:
 
     narrow = FilterConfig(min_age=25, max_age=25, min_minutes=3000)
     runs: dict[str, list[float]] = {stage: [] for stage in STAGES}
+    peaks: dict[str, float] = {}
 
     def timed(stage, fn, *args):
         start = time.perf_counter()
@@ -50,6 +60,7 @@ def stage_times(data: bytes) -> tuple[dict[str, float], Exception | None]:
             return fn(*args)
         finally:
             runs[stage].append((time.perf_counter() - start) * 1e3)
+            peaks.setdefault(stage, peak_rss_mb())
 
     error = None
     for _ in range(REPEATS):
@@ -62,7 +73,8 @@ def stage_times(data: bytes) -> tuple[dict[str, float], Exception | None]:
         timed("apply_filters_narrow", apply_filters, table, narrow)
         fit = timed("fit_ols", fit_ols, timed("encode_dataset", encode_dataset, accepted))
         timed("fit_json", lambda: json_dumps(fit_to_dict(fit)))
-    return {stage: statistics.median(times) for stage, times in runs.items() if times}, error
+    return {stage: (statistics.median(times), peaks[stage])
+            for stage, times in runs.items() if times}, error
 
 
 def main(argv: list[str]) -> int:
@@ -73,8 +85,8 @@ def main(argv: list[str]) -> int:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.path.insert(0, str(SRC))
     times, error = stage_times(Path(argv[0]).read_bytes())
-    for stage, ms in times.items():
-        print(f"{stage:<22}{ms:9.1f} ms")
+    for stage, (ms, mb) in times.items():
+        print(f"{stage:<22}{ms:9.1f} ms{mb:9.1f} MB")
     if error is not None:
         print(f"{type(error).__name__}: {error}")
     return 0
